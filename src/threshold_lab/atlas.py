@@ -20,12 +20,8 @@ def atlas_level(reps: list[Graph]) -> list[Graph]:
     for g in reps:
         k = g.n
         for nbrs in range(1 << k):
-            rows = list(g.adj)
-            for v in range(k):
-                if nbrs >> v & 1:
-                    rows[v] |= 1 << k
-            rows.append(nbrs)
-            seen.setdefault(canonical_form(Graph(k + 1, tuple(rows))), None)
+            rows = tuple([row | (nbrs >> v & 1) << k for v, row in enumerate(g.adj)])
+            seen.setdefault(canonical_form(Graph._trusted(k + 1, rows + (nbrs,))), None)
     return [parse_graph6(code) for code in sorted(seen)]
 
 

@@ -5,7 +5,8 @@ regime tables, witness constructions, and seeded experiments. Output is JSON
 (or a plain table for regime verbs) on stdout; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 domain error, 2 budget exceeded, 3 parse or usage
-error.
+error, 141 stdout closed before the output was written (128 + SIGPIPE, as a
+shell reports a writer killed by a closed pipe).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -318,10 +320,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_DOMAIN
     table_text = payload.pop("_table_text", None)
     if args.format == "table" and table_text is not None:
-        print(table_text)
+        text = table_text
     else:
-        payload = {"schema": SCHEMA, "verb": args.verb, **payload}
-        print(json.dumps(payload, sort_keys=True))
+        text = json.dumps({"schema": SCHEMA, "verb": args.verb, **payload}, sort_keys=True)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so that the flush at
+        # interpreter exit does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return EXIT_OK
 
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, as_budget
-from .formats import write_graph6
+from .formats import pack_graph6
 from .graphs import Graph, bits
 
 
@@ -327,66 +327,71 @@ def embed_forest(g: Graph, f: Graph, budget=None) -> Optional[Embedding]:
 # -- canonical form ------------------------------------------------------------
 
 
-def _min_code(g: Graph, budget) -> tuple[int, ...]:
-    """Lexicographically least upper-triangle bit string over all orderings.
+def _min_code(n: int, adj: Sequence[int], budget) -> int:
+    """The least code over all vertex orderings, as an ``n(n-1)/2``-bit int.
 
-    Backtracking with prefix pruning: a partial ordering whose bits already
-    exceed the best known prefix cannot produce the minimum.
+    A search node is a placed prefix of the ordering. ``cand`` lists the
+    unused vertices and ``rows[i]`` is the row that ``cand[i]`` would append
+    next: its adjacency to the placed vertices in placement order, earliest
+    placed most significant.
     """
-    n = g.n
-    best: Optional[list[int]] = None
-    order: list[int] = []
-    prefix: list[int] = []
-    used = [False] * n
-    # candidates tried low-degree-first so a near-minimal code is found early
-    by_degree = sorted(range(n), key=lambda v: (g.degree(v), v))
+    total = n * (n - 1) // 2
+    twins = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
+    best = 1 << total  # above every code, so the first leaf replaces it
 
-    def rec(depth: int):
+    def rec(depth: int, prefix: int, cand: list[int], rows: list[int]):
         nonlocal best
         budget.spend()
-        if depth == n:
-            if best is None or prefix < best:
-                best = prefix[:]
+        if not cand:
+            best = prefix
             return
-        base = len(prefix)
-        for v in by_degree:
-            if used[v]:
+        least = min(rows)
+        prefix = prefix << depth | least
+        depth += 1
+        if prefix > best >> (total - depth * (depth - 1) // 2):
+            return
+        tried = 0
+        for i, v in enumerate(cand):
+            if rows[i] != least or twins[v] & tried:
                 continue
-            row = [g.adj[v] >> u & 1 for u in order]
-            if best is not None:
-                prefix.extend(row)
-                worse = prefix > best[: base + depth]
-                del prefix[base:]
-                if worse:
-                    continue
-            used[v] = True
-            order.append(v)
-            prefix.extend(row)
-            rec(depth + 1)
-            del prefix[base:]
-            order.pop()
-            used[v] = False
+            tried |= 1 << v
+            rec(depth, prefix, cand[:i] + cand[i + 1:],
+                [r << 1 | (adj[u] >> v & 1) for u, r in zip(cand, rows) if u != v])
 
-    rec(0)
-    assert best is not None or n == 0
-    return tuple(best or ())
+    # low degree first: a small code turns up early and the prefix cut bites
+    rec(0, 0, sorted(range(n), key=lambda v: (adj[v].bit_count(), v)), [0] * n)
+    return best
 
 
 def canonical_form(g: Graph, budget=None) -> bytes:
-    """Canonical bytes: equal iff isomorphic. Output is valid graph6."""
+    """Canonical bytes: equal iff isomorphic. Output is valid graph6.
+
+    The form is the graph6 encoding of the relabelling whose upper triangle,
+    read column by column ((0,1), (0,2), (1,2), (0,3), ...), is the
+    lexicographically least over all vertex orderings. Placing the ``d``-th
+    vertex appends its ``d``-bit row of adjacencies to the vertices already
+    placed, so the search extends the ordering one vertex at a time and cuts
+    three kinds of branch, none of which can hold the least code:
+
+    - a prefix already greater than the same-length prefix of the best code
+      found so far;
+    - a next vertex whose row is greater than the least row among the
+      unused vertices, since every next row has the same length;
+    - a next vertex that is a twin (``N(u) - {v} == N(v) - {u}``) of a
+      sibling already tried: swapping two unused twins is an automorphism
+      fixing every placed vertex, so both subtrees hold the same codes.
+
+    Every search node spends one unit of ``budget``.
+    """
     budget = as_budget(budget, "canonical_form")
     if g.n == 0:
-        return write_graph6(g)
-    code = _min_code(g, budget)
-    rows = [0] * g.n
-    pos = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            if code[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return write_graph6(Graph(g.n, tuple(rows)))
+        return pack_graph6(0, 0)
+    return pack_graph6(g.n, _min_code(g.n, g.adj, budget))
 
 
 def are_isomorphic(a: Graph, b: Graph, budget=None) -> bool:

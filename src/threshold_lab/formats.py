@@ -77,16 +77,22 @@ def parse_graph6(data: bytes) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def pack_graph6(n: int, bitbuf: int) -> bytes:
+    """graph6 bytes of an ``n``-vertex graph given its upper triangle as an
+    ``n(n-1)/2``-bit integer in graph6 order, bit (0,1) most significant."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    bitbuf <<= 6 * nbytes - nbits
+    payload = bytes((bitbuf >> 6 * (nbytes - 1 - k) & 63) + 63 for k in range(nbytes))
+    return _encode_size(n) + payload
+
+
 def write_graph6(g: Graph) -> bytes:
-    nbits = g.n * (g.n - 1) // 2
     bitbuf = 0
     for j in range(1, g.n):
         for i in range(j):
             bitbuf = bitbuf << 1 | (g.adj[i] >> j & 1)
-    nbytes = (nbits + 5) // 6
-    bitbuf <<= 6 * nbytes - nbits
-    payload = bytes((bitbuf >> 6 * (nbytes - 1 - k) & 63) + 63 for k in range(nbytes))
-    return _encode_size(g.n) + payload
+    return pack_graph6(g.n, bitbuf)
 
 
 def parse_edge_list(data: bytes) -> Graph:

@@ -44,6 +44,16 @@ class Graph:
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from rows the caller built symmetric, loopless and in
+        range, without the validation of the constructor. For hot internal
+        loops only."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @staticmethod
     def empty(n: int) -> "Graph":
         return Graph(n, (0,) * n)

@@ -25,9 +25,12 @@ RNG_NAME = "splitmix64-v1"
 _MASK64 = (1 << 64) - 1
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+
+
 def mix64(x: int) -> int:
     """splitmix64 finalizer: one mixing step of the stream."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + _GAMMA) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
@@ -40,11 +43,9 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
         x = self._state
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return x ^ (x >> 31)
+        self._state = (x + _GAMMA) & _MASK64
+        return mix64(x)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection."""

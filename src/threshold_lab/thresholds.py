@@ -19,7 +19,7 @@ from .classify import (
     is_thundercloud_forest,
 )
 from .exact import canonical_form, chromatic_number, two_density
-from .graphs import Graph, is_bipartite
+from .graphs import Graph, bits, is_bipartite
 
 
 # -- threshold values ----------------------------------------------------------
@@ -250,18 +250,7 @@ def quotients_with_partitions(h: Graph, budget=None,
         if key in seen:
             continue
         seen.add(key)
-        yield q, [sorted_bits(c) for c in classes]
-
-
-def sorted_bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+        yield q, [list(bits(c)) for c in classes]
 
 
 def enumerate_quotients(h: Graph, budget=None,

@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from threshold_lab.atlas import atlas_level
 from threshold_lab.graphs import Graph
+
+# No per-example deadline: a shared host can run 1.5x slower for minutes at a
+# time, which would make the default 200 ms deadline flaky. The example count
+# is bounded so the property tests keep a predictable share of the suite.
+settings.register_profile("threshold-lab", deadline=None, max_examples=100)
+settings.load_profile("threshold-lab")
 
 
 class _Atlas:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from threshold_lab.cli import main
+from threshold_lab.cli import EXIT_PIPE, main
 
 
 def run_cli(capsys, *argv):
@@ -160,3 +164,20 @@ def test_stdout_pure_json(capsys):
     code, out, err = run_cli(capsys, "classify", "--graph6", "Bw")
     json.loads(out)  # the whole stream is one JSON document
     assert code == 0
+
+
+def test_closed_stdout_exits_cleanly():
+    # the read end is closed before the CLI starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "threshold_lab.cli", "classify", "--graph6", "FhCKG"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stderr == b""

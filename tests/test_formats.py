@@ -4,6 +4,7 @@ decoder (the oracle below shares no code with the library)."""
 import pytest
 
 from threshold_lab.errors import GraphFormatError
+from threshold_lab.exact import canonical_form
 from threshold_lab.formats import (
     parse_edge_list,
     parse_graph,
@@ -88,6 +89,22 @@ def test_large_n_header():
     assert parse_graph6(code) == g
     n, edges = oracle_decode_graph6(code)
     assert n == 100 and not edges
+
+
+def test_roundtrip_every_size_through_4_byte_header():
+    for n in range(71):
+        g = sample_gnp(GnpParams(n, "0.5", n))
+        code = write_graph6(g)
+        assert code[0] == 126 if n >= 63 else code[0] == n + 63
+        assert parse_graph6(code) == g
+        assert oracle_decode_graph6(code) == (n, to_edge_set(g))
+
+
+@pytest.mark.parametrize("g", [Graph.empty(70), Graph.complete(70)])
+def test_canonical_form_of_large_twin_class(g):
+    # every relabelling of E_n or K_n is the same graph, and the twin prune
+    # reaches it in n + 1 search nodes
+    assert canonical_form(g) == write_graph6(g)
 
 
 def test_malformed_graph6():
