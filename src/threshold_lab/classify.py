@@ -4,7 +4,9 @@ that determine chromatic thresholds: cloud-forest, thundercloud-forest,
 
 All searches enumerate candidate independent sets by increasing size and
 lexicographically within a size, and return the first witness found, so
-outputs are deterministic.
+outputs are deterministic. They read whether a vertex set is independent,
+induces a forest, or has a given chromatic number from the pattern's
+subset tables (``exact.subset_tables``) instead of searching each subset.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, as_budget
-from .exact import canonical_form, chromatic_number, colouring_with
-from .graphs import Graph, bits, is_bipartite
+from .exact import (
+    canonical_form, chromatic_number, colouring_with, masks_by_size, subset_tables,
+)
+from .graphs import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -60,46 +64,22 @@ def _mask_tuple(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def _subsets_by_size(n: int):
-    """All bitmasks over n vertices ordered by (popcount, value)."""
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    return masks
-
-
-def _independent_masks_by_size(g: Graph):
-    return [m for m in _subsets_by_size(g.n) if g.is_independent(m)]
-
-
-def _odd_cycles_covered_twice(g: Graph, cloud_mask: int) -> bool:
-    """Every odd cycle meets the cloud in >= 2 vertices.
-
-    Requires the complement of the cloud to induce a forest. Then an odd
-    cycle meeting the cloud in exactly one vertex v lives in (V \\ I) + v,
-    so the condition holds iff each such one-vertex extension is bipartite.
-    """
-    rest = (1 << g.n) - 1 & ~cloud_mask
-    for v in bits(cloud_mask):
-        if is_bipartite(g.induced_mask(rest | 1 << v)) is None:
-            return False
-    return True
-
-
 def is_cloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
     """First independent cloud I (by size, then lex) whose complement is a
     forest receiving I-edges only at leaves/isolated vertices, with no two
     adjacent leaves both attached to I."""
     budget = as_budget(budget, "is_cloud_forest")
+    tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
-    for cloud in _independent_masks_by_size(h):
+    for cloud in tables.indep_by_size:
         budget.spend()
-        if _cloud_conditions(h, cloud, full & ~cloud):
+        if _cloud_conditions(h, tables, cloud, full & ~cloud):
             return CloudForestWitness(_mask_tuple(cloud), _mask_tuple(full & ~cloud))
     return None
 
 
-def _cloud_conditions(h: Graph, cloud: int, rest: int) -> bool:
-    forest = h.induced_mask(rest)
-    if not forest.is_forest():
+def _cloud_conditions(h: Graph, tables, cloud: int, rest: int) -> bool:
+    if not tables.forest[rest]:
         return False
     rest_vertices = list(bits(rest))
     deg_f = {v: (h.adj[v] & rest).bit_count() for v in rest_vertices}
@@ -116,14 +96,25 @@ def _cloud_conditions(h: Graph, cloud: int, rest: int) -> bool:
     return True
 
 
+def _odd_cycles_meet_twice(tables, part: int, rest: int) -> bool:
+    """Every odd cycle of the graph induced by ``part | rest`` meets ``part``
+    in >= 2 vertices, where ``part`` is independent and ``rest`` induces a
+    forest. An odd cycle meeting ``part`` in exactly one vertex v lives in
+    ``rest + v``, so the condition holds iff each such extension is
+    bipartite."""
+    return all(tables.bipartite(rest | 1 << v) for v in bits(part))
+
+
 def is_thundercloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
     """A cloud-forest witness whose cloud also meets every odd cycle twice."""
     budget = as_budget(budget, "is_thundercloud_forest")
+    tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
-    for cloud in _independent_masks_by_size(h):
+    for cloud in tables.indep_by_size:
         budget.spend()
         rest = full & ~cloud
-        if _cloud_conditions(h, cloud, rest) and _odd_cycles_covered_twice(h, cloud):
+        if _cloud_conditions(h, tables, cloud, rest) \
+                and _odd_cycles_meet_twice(tables, cloud, rest):
             return CloudForestWitness(_mask_tuple(cloud), _mask_tuple(rest))
     return None
 
@@ -132,16 +123,17 @@ def is_cloud_forest_alt(h: Graph, budget=None) -> Optional[CloudForestAltWitness
     """Partition into independent I and J plus a forest F' with no F'-I edges
     and every J-vertex having at most one F'-neighbour."""
     budget = as_budget(budget, "is_cloud_forest_alt")
+    tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
-    indep = _independent_masks_by_size(h)
+    indep = tables.indep_by_size
     for set_i in indep:
         rest_i = full & ~set_i
         for set_j in indep:
+            budget.spend()
             if set_j & set_i:
                 continue
-            budget.spend()
             f_prime = rest_i & ~set_j
-            if not h.induced_mask(f_prime).is_forest():
+            if not tables.forest[f_prime]:
                 continue
             if any(h.adj[v] & f_prime for v in bits(set_i)):
                 continue
@@ -153,6 +145,24 @@ def is_cloud_forest_alt(h: Graph, budget=None) -> Optional[CloudForestAltWitness
     return None
 
 
+def _near_acyclic_part(tables, keep: int, budget) -> Optional[int]:
+    """First independent I inside ``keep`` (by size, then value) such that
+    ``keep - I`` induces a forest and every odd cycle of the graph induced
+    by ``keep`` meets I twice. The caller checks that this graph has chi 3.
+
+    Masks inside ``keep`` come in the order that the same sets have in the
+    induced graph relabelled in ascending order, so the first witness is
+    the same."""
+    for part in tables.indep_by_size:
+        budget.spend()
+        if part & ~keep:
+            continue
+        rest = keep & ~part
+        if tables.forest[rest] and _odd_cycles_meet_twice(tables, part, rest):
+            return part
+    return None
+
+
 def is_near_acyclic(h: Graph, budget=None) -> Optional[NearAcyclicWitness]:
     """chi = 3 plus a partition into independent I and a forest such that
     every odd cycle meets I at least twice."""
@@ -160,14 +170,10 @@ def is_near_acyclic(h: Graph, budget=None) -> Optional[NearAcyclicWitness]:
     if chromatic_number(h, budget) != 3:
         return None
     full = (1 << h.n) - 1
-    for part_i in _independent_masks_by_size(h):
-        budget.spend()
-        rest = full & ~part_i
-        if not h.induced_mask(rest).is_forest():
-            continue
-        if _odd_cycles_covered_twice(h, part_i):
-            return NearAcyclicWitness(_mask_tuple(part_i), _mask_tuple(rest))
-    return None
+    part = _near_acyclic_part(subset_tables(h, budget), full, budget)
+    if part is None:
+        return None
+    return NearAcyclicWitness(_mask_tuple(part), _mask_tuple(full & ~part))
 
 
 def _removal_sequence(h: Graph, removed_mask: int, count: int, budget) -> RemovalSequence:
@@ -194,23 +200,20 @@ def is_r_near_acyclic(h: Graph, r: int, budget=None
     if r == 3:  # nothing is removed
         witness = is_near_acyclic(h, budget)
         return (RemovalSequence(()), witness) if witness is not None else None
-    for removed in _subsets_by_size(h.n):
+    tables = subset_tables(h, budget)
+    chi_of = tables.chi_table(budget)
+    full = (1 << h.n) - 1
+    for removed in masks_by_size(h.n):
         budget.spend()
-        if removed.bit_count() >= h.n:  # keep at least one vertex
+        keep = full & ~removed
+        # chi(keep) >= r - chi(removed) >= 3, so chi(keep) == 3 iff keep is
+        # 3-colourable; removing every vertex never qualifies, as chi(h) = r
+        if chi_of[removed] > r - 3 or chi_of[keep] > 3:
             continue
-        sub = h.induced_mask(removed)
-        if chromatic_number(sub, budget) > r - 3:
-            continue
-        keep = [v for v in range(h.n) if not removed >> v & 1]
-        witness = is_near_acyclic(h.induced(keep), budget)
-        if witness is not None:
-            relabel = {i: keep[i] for i in range(len(keep))}
-            translated = NearAcyclicWitness(
-                tuple(relabel[v] for v in witness.independent_part),
-                tuple(relabel[v] for v in witness.forest_part),
-            )
-            removals = _removal_sequence(h, removed, r - 3, budget)
-            return removals, translated
+        part = _near_acyclic_part(tables, keep, budget)
+        if part is not None:
+            witness = NearAcyclicWitness(_mask_tuple(part), _mask_tuple(keep & ~part))
+            return _removal_sequence(h, removed, r - 3, budget), witness
     return None
 
 
@@ -221,16 +224,16 @@ def decomposition_family(h: Graph, budget=None) -> list[Graph]:
     r = chromatic_number(h, budget)
     if r < 2:
         raise DomainError("decomposition family needs chi(h) >= 2")
+    tables = subset_tables(h, budget)
+    full = (1 << h.n) - 1
     seen: dict[bytes, Graph] = {}
     for removed in range(1 << h.n):
         budget.spend()
-        sub = h.induced_mask(removed)
-        if chromatic_number(sub, budget) > r - 2:
+        rest = full & ~removed
+        if not (tables.colourable(removed, r - 2, budget) and tables.bipartite(rest)):
             continue
-        rest = h.induced([v for v in range(h.n) if not removed >> v & 1])
-        if is_bipartite(rest) is None:
-            continue
-        seen.setdefault(canonical_form(rest, budget), rest)
+        sub = h.induced_mask(rest)
+        seen.setdefault(canonical_form(sub, budget), sub)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -240,12 +243,10 @@ def has_forest_in_decomposition_family(h: Graph, budget=None) -> Optional[Remova
     r = chromatic_number(h, budget)
     if r < 3:
         raise DomainError("forest-in-family check needs chi(h) >= 3")
-    for removed in _subsets_by_size(h.n):
+    tables = subset_tables(h, budget)
+    full = (1 << h.n) - 1
+    for removed in masks_by_size(h.n):
         budget.spend()
-        sub = h.induced_mask(removed)
-        if chromatic_number(sub, budget) > r - 2:
-            continue
-        rest = h.induced([v for v in range(h.n) if not removed >> v & 1])
-        if rest.is_forest():
+        if tables.forest[full & ~removed] and tables.colourable(removed, r - 2, budget):
             return _removal_sequence(h, removed, r - 2, budget)
     return None

@@ -6,12 +6,14 @@ regime tables, witness constructions, and seeded experiments. Output is JSON
 
 Exit codes: 0 success, 1 domain error, 2 budget exceeded, 3 parse or usage
 error, 141 stdout closed before the output was written (128 + SIGPIPE, as a
-shell reports a writer killed by a closed pipe).
+shell reports a writer killed by a closed pipe). A closed stderr does not
+change the exit code: the diagnostic is dropped.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +23,7 @@ from typing import Optional
 from .errors import Budget, BudgetExceededError, DomainError, GraphFormatError
 from .graphs import Graph
 from .formats import parse_edge_list, parse_graph6, write_graph6
-from .exact import chromatic_number, two_density
+from .exact import chromatic_number
 from .classify import (
     decomposition_family,
     has_forest_in_decomposition_family,
@@ -199,10 +201,6 @@ def _cmd_threshold_star(args, budget) -> dict:
             "witness": witness}
 
 
-def _regime_payload(table) -> dict:
-    return table.to_json()
-
-
 def _regime_lines(table) -> str:
     width = max(len(r.describe_range()) for r in table.rows)
     lines = []
@@ -216,12 +214,12 @@ def _regime_lines(table) -> str:
 
 def _cmd_regimes(args, budget) -> dict:
     table = regime_table(_load_graph(args), budget)
-    return {**_regime_payload(table), "_table_text": _regime_lines(table)}
+    return {**table.to_json(), "_table_text": _regime_lines(table)}
 
 
 def _cmd_regimes_star(args, budget) -> dict:
     table = regime_table_star(_load_graph(args), budget)
-    return {**_regime_payload(table), "_table_text": _regime_lines(table)}
+    return {**table.to_json(), "_table_text": _regime_lines(table)}
 
 
 def _cmd_zykov(args, budget) -> dict:
@@ -297,27 +295,47 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of ``main``, built on its first call: building it costs
+    more than most verbs do, and importing the module stays cheap."""
+    return build_parser()
+
+
+def _report(code: int, message: str) -> int:
+    """Print a diagnostic to stderr and return ``code``, also when stderr is
+    closed."""
     try:
-        args = parser.parse_args(argv)
+        print(message, file=sys.stderr)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+    return code
+
+
+def _to_devnull(stream) -> None:
+    # The reader is gone. Point the stream at devnull so that the flush at
+    # interpreter exit does not raise a second time.
+    fd = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(fd, stream.fileno())
+    os.close(fd)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        args = _parser().parse_args(argv)
         budget = _budget(args)
         payload = _COMMANDS[args.verb](args, budget)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(EXIT_USAGE, f"usage error: {exc}")
     except GraphFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(EXIT_USAGE, f"parse error: {exc}")
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(EXIT_USAGE, f"parse error: {exc}")
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _report(EXIT_BUDGET, f"budget exceeded: {exc}")
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _report(EXIT_DOMAIN, f"domain error: {exc}")
     table_text = payload.pop("_table_text", None)
     if args.format == "table" and table_text is not None:
         text = table_text
@@ -327,9 +345,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader is gone. Point stdout at devnull so that the flush at
-        # interpreter exit does not raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         return EXIT_PIPE
     return EXIT_OK
 

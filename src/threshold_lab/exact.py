@@ -157,6 +157,162 @@ def independent_set_masks(g: Graph) -> list[int]:
     return out
 
 
+# -- subset-lattice tables -------------------------------------------------------
+
+
+def masks_by_size(n: int) -> Iterator[int]:
+    """Every vertex mask over ``n`` vertices, ordered by (popcount, value).
+
+    Within one popcount, Gosper's step gives the next larger mask with as
+    many bits.
+    """
+    yield 0
+    top = 1 << n
+    for size in range(1, n + 1):
+        mask = (1 << size) - 1
+        while mask < top:
+            yield mask
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
+class _SubsetTables:
+    """Per-mask facts about the induced subgraphs ``g[S]``, for all ``2^n``
+    vertex masks ``S``.
+
+    ``indep[S]`` and ``forest[S]`` say whether ``g[S]`` is independent and
+    whether it is a forest; ``indep_by_size`` lists the independent masks by
+    (popcount, value). Both tables come from smaller masks. With ``v`` the
+    lowest vertex of ``S`` and ``R = S - v``: ``S`` is independent iff ``R``
+    is and ``v`` has no neighbour in ``R``; a forest keeps a vertex of degree
+    at most 1 and stays a forest without it, while a graph of minimum degree
+    2 has a cycle.
+
+    The chromatic number of every mask (``chi_table``) is built only for
+    scans that ask whether subsets are ``k``-colourable for some ``k >= 3``;
+    ``colourable`` answers smaller ``k`` from ``indep`` or a 2-colouring.
+    """
+
+    __slots__ = ("adj", "indep", "forest", "indep_by_size", "_chi")
+
+    def __init__(self, g: Graph):
+        adj = g.adj
+        size = 1 << g.n
+        indep = bytearray(size)
+        forest = bytearray(size)
+        indep[0] = forest[0] = 1
+        for s in range(1, size):
+            low = s & -s
+            r = s ^ low
+            nv = adj[low.bit_length() - 1] & r
+            if not nv & (nv - 1):  # deg(v) <= 1
+                indep[s] = indep[r] and not nv
+                forest[s] = forest[r]
+                continue
+            for u in bits(r):
+                nu = adj[u] & s
+                if not nu & (nu - 1):
+                    forest[s] = forest[s ^ 1 << u]
+                    break
+        self.adj = adj
+        self.indep = indep
+        self.forest = forest
+        self.indep_by_size = independent_set_masks(g)
+        self._chi = None
+
+    def bipartite(self, s: int) -> bool:
+        """Whether ``g[s]`` is 2-colourable: read the chi table if a scan has
+        built it, else layer each component breadth first and look for an
+        edge inside one parity class."""
+        if self._chi is not None:
+            return self._chi[s] <= 2
+        adj = self.adj
+        while s:
+            frontier = s & -s
+            sides = [frontier, 0]
+            side = 0
+            while frontier:
+                reach = 0
+                rest = frontier
+                while rest:
+                    low = rest & -rest
+                    reach |= adj[low.bit_length() - 1]
+                    rest ^= low
+                reach &= s
+                if reach & sides[side]:
+                    return False
+                side ^= 1
+                frontier = reach & ~sides[side]
+                sides[side] |= frontier
+            s &= ~(sides[0] | sides[1])
+        return True
+
+    def colourable(self, s: int, k: int, budget=None) -> bool:
+        """Whether chi(g[s]) <= k."""
+        if k >= 3:
+            return self.chi_table(budget)[s] <= k
+        if k == 2:
+            return self.bipartite(s)
+        return bool(self.indep[s]) if k == 1 else not s
+
+    def chi_table(self, budget=None) -> bytearray:
+        """``chi[S]`` for every mask, built on first use.
+
+        ``chi[S]`` is ``k = chi[R]`` or ``k + 1``. It is ``k`` exactly when
+        some independent ``J`` in ``R - N(v)`` has ``chi[R - J] <= k - 1``:
+        ``J + v`` is then one more colour class, and conversely the class of
+        ``v`` in a ``k``-colouring of ``S``, less ``v``, is such a ``J``
+        (Lawler, IPL 5, 1976). For ``k <= 2`` a 2-colouring decides it.
+        The build spends one node per mask up front and one per candidate
+        ``J``, and the table is kept only once it is complete.
+        """
+        if self._chi is None:
+            budget = as_budget(budget, "chi_table")
+            indep, adj = self.indep, self.adj
+            size = len(indep)
+            budget.spend(size)
+            chi = bytearray(size)
+            for s in range(1, size):
+                if indep[s]:
+                    chi[s] = 1
+                    continue
+                low = s & -s
+                r = s ^ low
+                k = chi[r]
+                if k <= 2:
+                    chi[s] = 2 if k == 1 or self.bipartite(s) else 3
+                    continue
+                chi[s] = k + 1
+                free = r & ~adj[low.bit_length() - 1]
+                if chi[r ^ free] >= k:  # every R - J contains R - free
+                    continue
+                j = free
+                while j:
+                    budget.spend()
+                    if indep[j] and chi[r ^ j] < k:
+                        chi[s] = k
+                        break
+                    j = (j - 1) & free
+            self._chi = chi
+        return self._chi
+
+
+def subset_tables(g: Graph, budget=None) -> _SubsetTables:
+    """The subset tables of ``g``, built on first use and kept on ``g``, so
+    that the scans of one pattern share them.
+
+    Building them spends one unit of ``budget`` per mask, up front, so a
+    budget that runs out leaves nothing half built behind.
+    """
+    tables = g.__dict__.get("_subset_tables")
+    if tables is None:
+        as_budget(budget, "subset_tables").spend(1 << g.n)
+        tables = _SubsetTables(g)
+        object.__setattr__(g, "_subset_tables", tables)
+    return tables
+
+
 # -- 2-density ---------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DomainError, as_budget
-from .exact import chromatic_number, contains_subgraph, greedy_clique
+from .exact import chromatic_number, contains_subgraph
 from .graphs import Graph, bits
 from .constructions import TemplateGraph
 
@@ -75,12 +75,7 @@ def parse_probability(p: Union[str, float, int, Fraction]) -> Fraction:
     Decimal strings are read exactly (``"0.3"`` becomes 3/10, not the nearest
     float).
     """
-    if isinstance(p, str):
-        q = Fraction(p)
-    elif isinstance(p, float):
-        q = Fraction(p)
-    else:
-        q = Fraction(p)
+    q = Fraction(p)
     if not 0 <= q <= 1:
         raise DomainError(f"probability {p!r} outside [0, 1]")
     return q

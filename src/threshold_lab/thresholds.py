@@ -236,9 +236,10 @@ def _quotient(h: Graph, classes: list[int]) -> Graph:
 
 def quotients_with_partitions(h: Graph, budget=None,
                               vertex_cap: int = QUOTIENT_VERTEX_CAP
-                              ) -> Iterator[tuple[Graph, list[list[int]]]]:
-    """Deduplicated quotients by independent-class partitions, each paired
-    with the first partition (in enumeration order) realising it."""
+                              ) -> Iterator[tuple[Graph, list[list[int]], bytes]]:
+    """Deduplicated quotients by independent-class partitions, each with the
+    first partition (in enumeration order) realising it and its canonical
+    form."""
     budget = as_budget(budget, "enumerate_quotients")
     if h.n > vertex_cap:
         raise BudgetExceededError("enumerate_quotients", vertex_cap)
@@ -250,12 +251,12 @@ def quotients_with_partitions(h: Graph, budget=None,
         if key in seen:
             continue
         seen.add(key)
-        yield q, [list(bits(c)) for c in classes]
+        yield q, [list(bits(c)) for c in classes], key
 
 
 def enumerate_quotients(h: Graph, budget=None,
                         vertex_cap: int = QUOTIENT_VERTEX_CAP) -> Iterator[Graph]:
-    for q, _ in quotients_with_partitions(h, budget, vertex_cap):
+    for q, _, _ in quotients_with_partitions(h, budget, vertex_cap):
         yield q
 
 
@@ -270,9 +271,9 @@ def chromatic_threshold_star(h: Graph, budget=None) -> tuple[ThresholdValue, dic
     if h.edge_count() == 0:
         raise DomainError("chromatic threshold needs at least one edge")
     best = None  # (value, n, canon, graph, partition)
-    for q, partition in quotients_with_partitions(h, budget):
+    for q, partition, canon in quotients_with_partitions(h, budget):
         value, _ = chromatic_threshold(q, budget)
-        key = (value.lo, q.n, canonical_form(q, budget))
+        key = (value.lo, q.n, canon)
         if best is None or key < best[0]:
             best = (key, q, partition)
     assert best is not None

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from threshold_lab.cli import EXIT_PIPE, main
+from threshold_lab.cli import EXIT_PIPE, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -166,18 +166,36 @@ def test_stdout_pure_json(capsys):
     assert code == 0
 
 
+def run_module(argv, **streams):
+    """Run the CLI in a fresh interpreter with the given stdout/stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "threshold_lab.cli", *argv],
+                          env=env, timeout=120, **streams)
+
+
 def test_closed_stdout_exits_cleanly():
     # the read end is closed before the CLI starts, so its first write fails
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "threshold_lab.cli", "classify", "--graph6", "FhCKG"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = run_module(["classify", "--graph6", "FhCKG"],
+                          stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_PIPE
     assert proc.stderr == b""
+
+
+def test_closed_stderr_keeps_the_exit_code():
+    # a parse error whose diagnostic cannot be written still exits 3
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(["classify", "--graph6", "!!"],
+                          stdout=subprocess.PIPE, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == b""

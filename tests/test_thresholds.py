@@ -114,7 +114,8 @@ def test_quotients_include_self_and_are_valid():
     for seed in range(10):
         g = sample_gnp(GnpParams(6, "0.5", seed))
         got_self = False
-        for q, partition in quotients_with_partitions(g):
+        for q, partition, canon in quotients_with_partitions(g):
+            assert canon == canonical_form(q)
             classes = [set(c) for c in partition]
             assert sorted(v for c in classes for v in c) == list(range(g.n))
             for ci in classes:
