@@ -7,7 +7,7 @@ from .errors import (
     GraphFormatError,
     ThresholdLabError,
 )
-from .graphs import Graph, is_bipartite, is_forest
+from .graphs import Graph, is_bipartite
 from .formats import parse_graph, parse_graph6, write_graph6, parse_edge_list, write_edge_list, write_dot
 from .exact import (
     Embedding,
@@ -16,7 +16,6 @@ from .exact import (
     contains_subgraph,
     count_bicliques,
     embed_forest,
-    independent_sets,
     two_density,
 )
 
@@ -33,9 +32,7 @@ __all__ = [
     "contains_subgraph",
     "count_bicliques",
     "embed_forest",
-    "independent_sets",
     "is_bipartite",
-    "is_forest",
     "parse_edge_list",
     "parse_graph",
     "parse_graph6",

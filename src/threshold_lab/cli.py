@@ -4,10 +4,10 @@ Verb-style subcommands over the library: classification, threshold values,
 regime tables, witness constructions, and seeded experiments. Output is JSON
 (or a plain table for regime verbs) on stdout; diagnostics go to stderr.
 
-Exit codes: 0 success, 1 domain error, 2 budget exceeded, 3 parse or usage
-error, 141 stdout closed before the output was written (128 + SIGPIPE, as a
-shell reports a writer killed by a closed pipe). A closed stderr does not
-change the exit code: the diagnostic is dropped.
+Exit codes: 0 success, 1 domain error, 2 budget or size cap exceeded, 3 parse
+or usage error, 141 stdout closed before the output was written (128 +
+SIGPIPE, as a shell reports a writer killed by a closed pipe). A closed
+stderr does not change the exit code: the diagnostic is dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import Budget, BudgetExceededError, DomainError, GraphFormatError
 from .graphs import Graph
@@ -73,42 +73,53 @@ def _add_graph_input(sub):
                      help="read a graph6 string from standard input")
 
 
-def _add_common(sub, graph_input=True):
-    if graph_input:
-        _add_graph_input(sub)
-    sub.add_argument("--budget", type=int, default=None,
-                     help="node budget for exact searches")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--trials", type=int, default=100)
-    sub.add_argument("--format", choices=["json", "table"], default="json")
+def _add_budget(sub):
+    sub.add_argument("--budget", type=int,
+                     help="node budget shared by every search of the verb")
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="threshold-lab", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
     for verb in ["classify", "threshold", "threshold-star", "regimes", "regimes-star"]:
-        _add_common(subs.add_parser(verb))
+        sub = subs.add_parser(verb)
+        _add_graph_input(sub)
+        _add_budget(sub)
+        if verb.startswith("regimes"):
+            sub.add_argument("--format", choices=["json", "table"], default="json")
 
     z = subs.add_parser("zykov", help="build a modified Zykov graph")
-    _add_common(z, graph_input=False)
     z.add_argument("--trees", required=True,
                    help="comma-separated graph6 codes of the trees")
     z.add_argument("--r", type=int, default=3)
     z.add_argument("--t", type=int, default=1)
 
     zs = subs.add_parser("zykov-search", help="bounded witness search")
-    _add_common(zs)
+    _add_graph_input(zs)
+    _add_budget(zs)
     zs.add_argument("--max-l", type=int, default=2)
     zs.add_argument("--max-t", type=int, default=3)
     zs.add_argument("--max-tree-size", type=int, default=4)
 
     sa = subs.add_parser("sample", help="sample one G(n,p)")
-    _add_common(sa, graph_input=False)
     sa.add_argument("--n", type=int, required=True)
     sa.add_argument("--p", required=True)
+    sa.add_argument("--seed", type=int, default=0)
 
     ex = subs.add_parser("experiment", help="two-round template embedding trials")
-    _add_common(ex, graph_input=False)
+    _add_budget(ex)
+    ex.add_argument("--seed", type=int, default=0)
+    ex.add_argument("--trials", type=_int_at_least(0), default=100)
     ex.add_argument("--config", help="JSON config file (flags override)")
     ex.add_argument("--n", type=int)
     ex.add_argument("--p")
@@ -117,10 +128,11 @@ def build_parser() -> _Parser:
     ex.add_argument("--d")
 
     au = subs.add_parser("audit", help="ambient pseudorandomness report")
-    _add_common(au)
+    _add_graph_input(au)
+    au.add_argument("--seed", type=int, default=0)
     au.add_argument("--p", required=True)
     au.add_argument("--set-size-cap", type=int, default=3)
-    au.add_argument("--samples", type=int, default=200)
+    au.add_argument("--samples", type=_int_at_least(1), default=200)
     return parser
 
 
@@ -138,15 +150,18 @@ def _load_graph(args) -> Graph:
     return parse_graph6(sys.stdin.buffer.read().strip())
 
 
-def _budget(args) -> Optional[Budget]:
-    limit = args.budget
+def _budget(args) -> Budget:
+    """The one budget that every search of the verb spends, named after the
+    verb. Its limit is ``--budget``, else ``THRESHOLD_LAB_BUDGET`` on the
+    verbs that take ``--budget``, else ``DEFAULT_BUDGET``."""
+    limit = getattr(args, "budget", None)
     env = os.environ.get("THRESHOLD_LAB_BUDGET")
-    if limit is None and env is not None:
+    if limit is None and env is not None and hasattr(args, "budget"):
         try:
             limit = int(env)
         except ValueError:
             raise _UsageError("THRESHOLD_LAB_BUDGET must be an integer")
-    return None if limit is None else Budget(limit)
+    return Budget(limit, args.verb)
 
 
 def _opt(witness) -> Optional[dict]:
@@ -212,14 +227,10 @@ def _regime_lines(table) -> str:
     return "\n".join(lines)
 
 
-def _cmd_regimes(args, budget) -> dict:
-    table = regime_table(_load_graph(args), budget)
-    return {**table.to_json(), "_table_text": _regime_lines(table)}
-
-
-def _cmd_regimes_star(args, budget) -> dict:
-    table = regime_table_star(_load_graph(args), budget)
-    return {**table.to_json(), "_table_text": _regime_lines(table)}
+def _cmd_regimes(args, budget) -> Union[dict, str]:
+    solve = regime_table_star if args.verb == "regimes-star" else regime_table
+    table = solve(_load_graph(args), budget)
+    return _regime_lines(table) if args.format == "table" else table.to_json()
 
 
 def _cmd_zykov(args, budget) -> dict:
@@ -286,7 +297,7 @@ _COMMANDS = {
     "threshold": _cmd_threshold,
     "threshold-star": _cmd_threshold_star,
     "regimes": _cmd_regimes,
-    "regimes-star": _cmd_regimes_star,
+    "regimes-star": _cmd_regimes,
     "zykov": _cmd_zykov,
     "zykov-search": _cmd_zykov_search,
     "sample": _cmd_sample,
@@ -324,8 +335,7 @@ def _to_devnull(stream) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        budget = _budget(args)
-        payload = _COMMANDS[args.verb](args, budget)
+        out = _COMMANDS[args.verb](args, _budget(args))
     except _UsageError as exc:
         return _report(EXIT_USAGE, f"usage error: {exc}")
     except GraphFormatError as exc:
@@ -336,13 +346,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _report(EXIT_BUDGET, f"budget exceeded: {exc}")
     except DomainError as exc:
         return _report(EXIT_DOMAIN, f"domain error: {exc}")
-    table_text = payload.pop("_table_text", None)
-    if args.format == "table" and table_text is not None:
-        text = table_text
-    else:
-        text = json.dumps({"schema": SCHEMA, "verb": args.verb, **payload}, sort_keys=True)
+    if not isinstance(out, str):  # a JSON payload, not a plain-text table
+        out = json.dumps({"schema": SCHEMA, "verb": args.verb, **out}, sort_keys=True)
     try:
-        print(text)
+        print(out)
         sys.stdout.flush()
     except BrokenPipeError:
         _to_devnull(sys.stdout)

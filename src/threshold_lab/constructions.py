@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Optional
 
-from .errors import BudgetExceededError, DomainError, as_budget
+from .errors import DomainError, SizeCapExceededError, as_budget
 from .exact import Embedding, canonical_form, chromatic_number, contains_subgraph
 from .formats import parse_graph6
 from .graphs import Graph, bits, is_bipartite
@@ -133,7 +133,7 @@ def zykov(spec: ZykovSpec) -> ZykovGraph:
     """
     ell = len(spec.trees)
     if ell > ZYKOV_L_CAP:
-        raise BudgetExceededError("zykov", ZYKOV_L_CAP)
+        raise SizeCapExceededError("zykov", ZYKOV_L_CAP, "trees")
     sides = spec.sides()
     offsets = []
     pos = 0
@@ -251,7 +251,7 @@ def search_zykov_witness(h: Graph, max_l: int, max_t: int, max_tree_size: int,
     if max_l < 1 or max_t < 1 or max_tree_size < 1:
         raise DomainError("search bounds must be positive")
     if max_l > ZYKOV_L_CAP:
-        raise BudgetExceededError("search_zykov_witness", ZYKOV_L_CAP)
+        raise SizeCapExceededError("search_zykov_witness", ZYKOV_L_CAP, "trees")
     r = max(3, chromatic_number(h, budget))
     if r == 3 and any(
         h.adj[u] & h.adj[v] for u, v in h.edges()

@@ -32,6 +32,16 @@ class BudgetExceededError(ThresholdLabError):
         self.limit = limit
 
 
+class SizeCapExceededError(BudgetExceededError):
+    """An input is larger than a fixed size cap of a solver, counted in
+    ``unit`` (vertices, trees, ...) rather than in search nodes."""
+
+    def __init__(self, operation, limit, unit):
+        ThresholdLabError.__init__(self, f"{operation}: size cap of {limit} {unit} exceeded")
+        self.operation = operation
+        self.limit = limit
+
+
 class Budget:
     """Mutable node counter handed down through a single exact search."""
 

@@ -122,22 +122,6 @@ def colouring_with(g: Graph, k: int, budget=None) -> Optional[list[int]]:
 # -- independent sets ---------------------------------------------------------
 
 
-def independent_sets(g: Graph, max_size: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All independent sets (including the empty one), by size then lex order."""
-    top = g.n if max_size is None else min(max_size, g.n)
-    for size in range(top + 1):
-        for combo in combinations(range(g.n), size):
-            mask = 0
-            ok = True
-            for v in combo:
-                if g.adj[v] & mask:
-                    ok = False
-                    break
-                mask |= 1 << v
-            if ok:
-                yield combo
-
-
 def independent_set_masks(g: Graph) -> list[int]:
     """All independent sets as bitmasks, ordered by (popcount, value)."""
     out = [0]
@@ -426,8 +410,9 @@ def count_bicliques(g: Graph, s: int, budget=None) -> int:
 def embed_forest(g: Graph, f: Graph, budget=None) -> Optional[Embedding]:
     """Embed a forest by peeling to a high-min-degree core, then greedily.
 
-    Guaranteed to succeed when e(g) >= v(f) * v(g); below that bound it falls
-    back to the generic subgraph search, which may still find a copy.
+    Guaranteed to succeed without search when g has a vertex and e(g) >=
+    v(f) * v(g); below that bound it falls back to the generic subgraph
+    search, which may still find a copy.
     """
     if not f.is_forest():
         raise DomainError("pattern is not a forest")

@@ -223,7 +223,3 @@ def is_bipartite(g: Graph) -> Optional[tuple[list[int], list[int]]]:
         [v for v in range(g.n) if colour[v] == 0],
         [v for v in range(g.n) if colour[v] == 1],
     )
-
-
-def is_forest(g: Graph) -> bool:
-    return g.is_forest()

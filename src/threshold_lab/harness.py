@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .errors import BudgetExceededError, DomainError, as_budget
+from .errors import BudgetExceededError, DomainError, SizeCapExceededError, as_budget
 from .exact import chromatic_number, contains_subgraph
 from .graphs import Graph, bits
 from .constructions import TemplateGraph
@@ -242,7 +242,7 @@ def lower_regular_check(g: Graph, set_a: Sequence[int], set_b: Sequence[int],
 
     if sample_count is None:
         if len(aa) > 16 or len(bb) > 16:
-            raise BudgetExceededError("lower_regular_check", 16)
+            raise SizeCapExceededError("lower_regular_check", 16, "vertices per side")
         for xsize in range(max(min_x, 1), len(aa) + 1):
             for xs in combinations(aa, xsize):
                 degs = sorted(
@@ -285,8 +285,9 @@ def check_ambient_properties(g: Graph, p, set_size_cap: int = 3,
         vertices have U-degree far above p |U|.
     A3: disjoint U, V have about p |U| |V| cross edges.
 
-    Deviations are reported relative to the stated expectations; no pass or
-    fail verdict is attached unless the caller applies one.
+    Deviations are reported relative to the stated expectations, and as
+    null where the expectation is 0; no pass or fail verdict is attached
+    unless the caller applies one.
     """
     pq = parse_probability(p)
     pf = float(pq)
@@ -305,7 +306,7 @@ def check_ambient_properties(g: Graph, p, set_size_cap: int = 3,
             actual = g.common_neighbourhood(s).bit_count()
             devs.append(actual - expected)
         mean_actual = expected + sum(devs) / len(devs)
-        rel = abs(mean_actual - expected) / expected if expected else float("inf")
+        rel = abs(mean_actual - expected) / expected if expected else None
         a1.append({"set_size": size, "expected": expected,
                    "mean_observed": mean_actual, "relative_deviation": rel})
     report["A1"] = a1
@@ -341,8 +342,8 @@ def check_ambient_properties(g: Graph, p, set_size_cap: int = 3,
             vmask |= 1 << x
         cross = g.edge_count_between(umask, vmask)
         expected = pf * half * half
-        rel = abs(cross - expected) / expected if expected else float("inf")
-        a3.append(rel)
+        if expected:
+            a3.append(abs(cross - expected) / expected)
     report["A3"] = {
         "set_size": half,
         "mean_relative_deviation": sum(a3) / len(a3) if a3 else None,

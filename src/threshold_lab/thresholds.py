@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import BudgetExceededError, DomainError, as_budget
+from .errors import DomainError, SizeCapExceededError, as_budget
 from .classify import (
     has_forest_in_decomposition_family,
     is_cloud_forest,
@@ -234,15 +234,15 @@ def _quotient(h: Graph, classes: list[int]) -> Graph:
     return Graph(k, tuple(rows))
 
 
-def quotients_with_partitions(h: Graph, budget=None,
-                              vertex_cap: int = QUOTIENT_VERTEX_CAP
+def quotients_with_partitions(h: Graph, budget=None
                               ) -> Iterator[tuple[Graph, list[list[int]], bytes]]:
     """Deduplicated quotients by independent-class partitions, each with the
     first partition (in enumeration order) realising it and its canonical
-    form."""
-    budget = as_budget(budget, "enumerate_quotients")
-    if h.n > vertex_cap:
-        raise BudgetExceededError("enumerate_quotients", vertex_cap)
+    form. Patterns above ``QUOTIENT_VERTEX_CAP`` vertices are refused."""
+    budget = as_budget(budget, "quotients_with_partitions")
+    if h.n > QUOTIENT_VERTEX_CAP:
+        raise SizeCapExceededError("quotients_with_partitions",
+                                   QUOTIENT_VERTEX_CAP, "vertices")
     seen: set[bytes] = set()
     for classes in _independent_partitions(h):
         budget.spend()
@@ -252,12 +252,6 @@ def quotients_with_partitions(h: Graph, budget=None,
             continue
         seen.add(key)
         yield q, [list(bits(c)) for c in classes], key
-
-
-def enumerate_quotients(h: Graph, budget=None,
-                        vertex_cap: int = QUOTIENT_VERTEX_CAP) -> Iterator[Graph]:
-    for q, _, _ in quotients_with_partitions(h, budget, vertex_cap):
-        yield q
 
 
 def chromatic_threshold_star(h: Graph, budget=None) -> tuple[ThresholdValue, dict]:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from threshold_lab.cli import EXIT_PIPE, EXIT_USAGE, main
+from threshold_lab import cli
+from threshold_lab.cli import EXIT_BUDGET, EXIT_PIPE, EXIT_USAGE, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,114 @@ def test_budget_flag_overrides_env(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "threshold", "--graph6", "DLo",
                              "--budget", "1000000")
     assert code == 0
+
+
+GRAPH = {"--graph6", "--edge-list", "--stdin"}
+FLAGS = {
+    "classify": GRAPH | {"--budget"},
+    "threshold": GRAPH | {"--budget"},
+    "threshold-star": GRAPH | {"--budget"},
+    "regimes": GRAPH | {"--budget", "--format"},
+    "regimes-star": GRAPH | {"--budget", "--format"},
+    "zykov": {"--trees", "--r", "--t"},
+    "zykov-search": GRAPH | {"--budget", "--max-l", "--max-t", "--max-tree-size"},
+    "sample": {"--n", "--p", "--seed"},
+    "experiment": {"--budget", "--seed", "--trials", "--config", "--n", "--p",
+                   "--k", "--gamma", "--d"},
+    "audit": GRAPH | {"--seed", "--p", "--set-size-cap", "--samples"},
+}
+
+
+def test_each_verb_takes_exactly_its_flags():
+    subs = next(a for a in build_parser()._actions if a.dest == "verb")
+    got = {verb: {flag for action in sub._actions for flag in action.option_strings
+                  if flag not in ("-h", "--help")}
+           for verb, sub in subs.choices.items()}
+    assert got == FLAGS
+    assert sum(map(len, got.values())) == 51
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["classify", "--graph6", "Bw", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["zykov", "--trees", "A_", "--budget", "5"], "unrecognized arguments: --budget"),
+    (["sample", "--n", "3", "--p", "0.5", "--format", "table"],
+     "unrecognized arguments: --format"),
+    (["audit", "--graph6", "D?{", "--p", "0.5", "--samples", "0"], "--samples: 0 is below 1"),
+    (["audit", "--graph6", "D?{", "--p", "0.5", "--samples", "-2"], "--samples: -2 is below 1"),
+    (["experiment", "--n", "40", "--p", "0.5", "--k", "3", "--trials", "-1"],
+     "--trials: -1 is below 0"),
+])
+def test_parse_time_usage_errors_exit_3(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "") and message in err
+
+
+def test_budget_env_only_read_by_verbs_with_budget(capsys, monkeypatch):
+    monkeypatch.setenv("THRESHOLD_LAB_BUDGET", "x")
+    run_json(capsys, "sample", "--n", "3", "--p", "0.5")
+    code, out, err = run_cli(capsys, "threshold", "--graph6", "Bw")
+    assert code == EXIT_USAGE and "THRESHOLD_LAB_BUDGET" in err
+
+
+def test_default_budget_is_shared_by_the_whole_verb(capsys, monkeypatch):
+    from threshold_lab.constructions import blow_up
+    from threshold_lab.formats import write_graph6
+    from threshold_lab.graphs import Graph
+    code = write_graph6(blow_up(Graph.cycle(5), 2)).decode("ascii")
+    spent = []
+
+    def metered(fn):
+        def call(*args):
+            budget = args[-1]
+            before = budget.used
+            try:
+                return fn(*args)
+            finally:
+                spent.append(budget.used - before)
+        return call
+
+    for name in ("chromatic_number", "is_cloud_forest", "is_thundercloud_forest",
+                 "is_near_acyclic", "has_forest_in_decomposition_family",
+                 "is_r_near_acyclic", "decomposition_family"):
+        monkeypatch.setattr(cli, name, metered(getattr(cli, name)))
+    run_json(capsys, "classify", "--graph6", code)
+    assert len(spent) == 7
+    limit = (max(spent) + sum(spent)) // 2
+    assert max(spent) < limit < sum(spent)
+    monkeypatch.setattr("threshold_lab.errors.DEFAULT_BUDGET", limit)
+    for flags in ([], ["--budget", str(limit)]):
+        got, out, err = run_cli(capsys, "classify", "--graph6", code, *flags)
+        assert (got, out) == (EXIT_BUDGET, "")
+        assert f"classify: search budget of {limit} nodes exceeded" in err
+    monkeypatch.setattr("threshold_lab.errors.DEFAULT_BUDGET", sum(spent))
+    run_json(capsys, "classify", "--graph6", code)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["threshold-star", "--graph6", "LhCGGC@?G?_@_@"],
+     "quotients_with_partitions: size cap of 12 vertices exceeded"),
+    (["zykov", "--trees", ",".join(["A_"] * 11)], "zykov: size cap of 10 trees exceeded"),
+    (["zykov-search", "--graph6", "Bw", "--max-l", "11"],
+     "search_zykov_witness: size cap of 10 trees exceeded"),
+])
+def test_size_caps_name_their_unit(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_BUDGET and message in err
+
+
+def test_audit_output_is_strict_json(capsys):
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    reports = {}
+    for p in ("0", "0.5"):
+        code, out, err = run_cli(capsys, "audit", "--graph6", "D?{", "--p", p,
+                                 "--samples", "3")
+        assert code == 0, err
+        reports[p] = json.loads(out, parse_constant=reject)
+    assert [a["relative_deviation"] for a in reports["0"]["A1"]] == [None] * 3
+    assert reports["0"]["A3"]["mean_relative_deviation"] is None
+    assert reports["0.5"]["A3"]["max_relative_deviation"] is not None
 
 
 def test_stdout_pure_json(capsys):

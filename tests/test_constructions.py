@@ -126,7 +126,7 @@ def test_zykov_rejects_bad_specs():
         ZykovSpec((Graph.complete(2),), 3, 0)
     with pytest.raises(DomainError):
         ZykovSpec((Graph.complete(2),), 3, 1, ((0, 1),))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="zykov: size cap of 10 trees"):
         zykov(ZykovSpec(tuple(Graph.complete(2) for _ in range(11)), 3, 1))
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from hypothesis import given, strategies as st
 import pytest
 
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
@@ -16,7 +17,6 @@ from threshold_lab.exact import (
     count_bicliques,
     embed_forest,
     independent_set_masks,
-    independent_sets,
     two_density,
 )
 from threshold_lab.graphs import Graph
@@ -49,22 +49,27 @@ def oracle_two_density(g: Graph) -> Fraction:
 
 
 def oracle_chromatic(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    for k in range(1, g.n + 1):
-        for assign in _assignments(g.n, k):
-            if all(assign[u] != assign[v] for u, v in g.edges()):
-                return k
-    raise AssertionError
+    """Fewest colours over every proper colouring, tried in full."""
+    return min(max(c, default=-1) + 1 for c in _colourings(g.n)
+               if all(c[u] != c[v] for u, v in g.edges()))
 
 
-def _assignments(n, k):
-    if n == 0:
-        yield []
-        return
-    for rest in _assignments(n - 1, k):
-        for c in range(k):
-            yield rest + [c]
+def _colourings(n):
+    """Every colouring of n vertices up to renaming the colours: each vertex
+    takes a colour already used or the next new one."""
+    out = [[]]
+    for _ in range(n):
+        out = [c + [k] for c in out for k in range(max(c, default=-1) + 2)]
+    return out
+
+
+def oracle_independent_sets(g: Graph):
+    """All independent sets (the empty one included) by size, then in
+    lexicographic order, from every vertex combination."""
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            if g.is_independent(sum(1 << v for v in combo)):
+                yield combo
 
 
 # -- chromatic number ------------------------------------------------------------
@@ -83,10 +88,10 @@ def test_chromatic_known(g, chi):
     assert chromatic_number(g) == chi
 
 
-def test_chromatic_against_oracle():
-    for seed in range(25):
-        g = sample_gnp(GnpParams(6, "0.5", seed))
-        assert chromatic_number(g) == oracle_chromatic(g)
+@given(st.integers(0, 8), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_chromatic_against_oracle(n, percent, seed):
+    g = sample_gnp(GnpParams(n, Fraction(percent, 100), seed))
+    assert chromatic_number(g) == oracle_chromatic(g)
 
 
 def test_colouring_with():
@@ -106,12 +111,10 @@ def test_budget_exceeded():
 
 
 def test_independent_sets_order_and_content():
-    c4 = Graph.cycle(4)
-    sets = list(independent_sets(c4))
-    assert sets[0] == ()
-    sizes = [len(s) for s in sets]
-    assert sizes == sorted(sizes)
-    assert (0, 2) in sets and (1, 3) in sets and (0, 1) not in sets
+    masks = independent_set_masks(Graph.cycle(4))
+    assert masks == [0, 0b1, 0b10, 0b100, 0b1000, 0b101, 0b1010]
+    sets = list(oracle_independent_sets(Graph.cycle(4)))
+    assert sets == [(), (0,), (1,), (2,), (3,), (0, 2), (1, 3)]
 
 
 def test_independent_masks_match_sets():
@@ -119,7 +122,7 @@ def test_independent_masks_match_sets():
         g = sample_gnp(GnpParams(7, "0.4", seed))
         masks = independent_set_masks(g)
         from_sets = sorted(
-            (sum(1 << v for v in s) for s in independent_sets(g)),
+            (sum(1 << v for v in s) for s in oracle_independent_sets(g)),
             key=lambda m: (m.bit_count(), m),
         )
         assert masks == from_sets
@@ -189,21 +192,17 @@ def test_count_bicliques_known():
 # -- forest embedding ---------------------------------------------------------------
 
 
-def test_embed_forest_guarantee():
-    """e(G) >= v(F) * v(G) forces an embedding; 100 seeded instances."""
-    rng = SplitMix64(2024)
-    found = 0
-    for trial in range(100):
-        fsize = 2 + rng.below(5)  # forest on 2..6 vertices
-        f = _random_forest(fsize, rng)
-        n = 24
-        need = fsize * n
-        g = _graph_with_edges(n, need, rng)
-        assert g.edge_count() >= need
-        emb = embed_forest(g, f)
-        assert emb is not None and emb.validate(g, f)
-        found += 1
-    assert found == 100
+@given(st.integers(1, 6), st.integers(0, 20), st.integers(0, 2**64 - 1))
+def test_embed_forest_guarantee(fsize, spare, seed):
+    """e(G) >= v(F) * v(G) forces an embedding, and the greedy path finds
+    it: under Budget(0) the fallback search fails on its first node."""
+    rng = SplitMix64(seed)
+    f = _random_forest(fsize, rng)
+    n = 2 * fsize + 1 + spare  # the least n with room for fsize * n edges
+    g = _graph_with_edges(n, fsize * n, rng)
+    assert g.edge_count() == fsize * n
+    emb = embed_forest(g, f, Budget(0))
+    assert emb is not None and emb.validate(g, f)
 
 
 def _random_forest(size, rng):
@@ -216,8 +215,7 @@ def _random_forest(size, rng):
 
 def _graph_with_edges(n, count, rng):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = rng.sample(pairs, min(count + 10, len(pairs)))
-    return Graph.from_edges(n, chosen)
+    return Graph.from_edges(n, rng.sample(pairs, count))
 
 
 def test_embed_forest_rejects_non_forest():

@@ -1,7 +1,7 @@
 import pytest
 
 from threshold_lab.errors import DomainError
-from threshold_lab.graphs import Graph, bits, is_bipartite, is_forest
+from threshold_lab.graphs import Graph, bits, is_bipartite
 
 
 def test_constructors_basic():
@@ -75,7 +75,7 @@ def test_components_connectivity():
 def test_forest_and_independent():
     assert Graph.path(5).is_forest()
     assert not Graph.cycle(4).is_forest()
-    assert is_forest(Graph.empty(3))
+    assert Graph.empty(3).is_forest()
     c4 = Graph.cycle(4)
     assert c4.is_independent(0b0101)
     assert not c4.is_independent(0b0011)

@@ -205,7 +205,7 @@ def test_lower_regular_monotone_under_edge_addition():
 
 def test_lower_regular_cap_and_sampling():
     big = Graph.empty(40)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="size cap of 16 vertices per side"):
         lower_regular_check(big, range(20), range(20, 40),
                             Fraction(1, 4), Fraction(1, 2), "0.5")
     out = lower_regular_check(big, range(20), range(20, 40), Fraction(1, 4),

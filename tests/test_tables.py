@@ -17,7 +17,7 @@ from threshold_lab.classify import (
 )
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import chromatic_number, masks_by_size, subset_tables
-from threshold_lab.graphs import Graph, is_bipartite, is_forest
+from threshold_lab.graphs import Graph, is_bipartite
 from threshold_lab.thresholds import chromatic_threshold
 
 
@@ -33,7 +33,7 @@ def test_tables_match_oracles(n, percent, seed):
     tables = subset_tables(g)
     for mask in range(1 << n):  # before the chi table, bipartite 2-colours
         sub = g.induced_mask(mask)
-        assert tables.forest[mask] == is_forest(sub)
+        assert tables.forest[mask] == sub.is_forest()
         assert tables.indep[mask] == g.is_independent(mask)
         assert tables.bipartite(mask) == (is_bipartite(sub) is not None)
     chi = tables.chi_table()

@@ -15,7 +15,6 @@ from threshold_lab.thresholds import (
     ThresholdValue,
     chromatic_threshold,
     chromatic_threshold_star,
-    enumerate_quotients,
     quotients_with_partitions,
     regime_table,
     regime_table_star,
@@ -93,19 +92,23 @@ def test_threshold_needs_an_edge():
 # -- quotients -----------------------------------------------------------------------
 
 
+def quotients(h):
+    return [q for q, _, _ in quotients_with_partitions(h)]
+
+
 def test_quotients_k3_only_itself():
-    qs = list(enumerate_quotients(Graph.complete(3)))
+    qs = quotients(Graph.complete(3))
     assert len(qs) == 1 and are_isomorphic(qs[0], Graph.complete(3))
 
 
 def test_quotients_c4():
-    codes = {canonical_form(q) for q in enumerate_quotients(Graph.cycle(4))}
+    codes = {canonical_form(q) for q in quotients(Graph.cycle(4))}
     assert canonical_form(Graph.complete(2)) in codes
     assert canonical_form(Graph.cycle(4)) in codes
 
 
 def test_quotients_c6():
-    codes = {canonical_form(q) for q in enumerate_quotients(Graph.cycle(6))}
+    codes = {canonical_form(q) for q in quotients(Graph.cycle(6))}
     for expected in (Graph.cycle(6), Graph.complete(2), Graph.complete(3)):
         assert canonical_form(expected) in codes
 
@@ -129,8 +132,9 @@ def test_quotients_include_self_and_are_valid():
 
 
 def test_quotient_vertex_cap():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_quotients(Graph.empty(13)))
+    with pytest.raises(BudgetExceededError,
+                       match="quotients_with_partitions: size cap of 12 vertices"):
+        quotients(Graph.empty(13))
 
 
 # -- chromatic_threshold_star -------------------------------------------------------
