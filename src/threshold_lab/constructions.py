@@ -8,14 +8,14 @@ makes bounded search over small specs a useful cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Optional
 
 from .errors import DomainError, SizeCapExceededError, as_budget
 from .exact import Embedding, canonical_form, chromatic_number, contains_subgraph
 from .formats import parse_graph6
-from .graphs import Graph, bits, is_bipartite
+from .graphs import Graph, is_bipartite
 
 ZYKOV_L_CAP = 10
 
@@ -297,27 +297,24 @@ def make_template(core: Graph, n: int, k: int, filler_parts: int = 3) -> Templat
     The filler join keeps the minimum degree high, which is what the planted
     core is for.
     """
+    if k < 1:
+        raise DomainError("k must be at least 1")
     if core.n != k:
         raise DomainError("core must have exactly k vertices")
     y_size = n // k
     if k + y_size > n:
         raise DomainError("k + floor(n/k) exceeds n")
     rest = n - k - y_size
-    edges = [(u, v) for u, v in core.edges()]
     r_base = k + y_size
-    sizes = [rest // filler_parts + (1 if i < rest % filler_parts else 0)
-             for i in range(filler_parts)]
-    part_of = []
-    for i, size in enumerate(sizes):
-        part_of += [i] * size
-    for a in range(rest):
-        for b in range(a + 1, rest):
-            if part_of[a] != part_of[b]:
-                edges.append((r_base + a, r_base + b))
-        for v in range(r_base):  # join the filler to X and Y
-            edges.append((r_base + a, v))
+    initial = (1 << r_base) - 1
+    filler = ((1 << n) - 1) & ~initial
+    rows = [row | filler for row in core.adj] + [filler] * y_size
+    for i in range(filler_parts):
+        size = rest // filler_parts + (1 if i < rest % filler_parts else 0)
+        part = ((1 << size) - 1) << len(rows)
+        rows += [initial | filler & ~part] * size
     return TemplateGraph(
-        Graph.from_edges(n, edges),
+        Graph(n, tuple(rows)),
         tuple(range(k)),
         tuple(range(k, k + y_size)),
     )

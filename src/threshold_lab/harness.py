@@ -4,6 +4,12 @@ Randomness comes from a named, versioned generator (splitmix64) so every
 experiment is reproducible bit-for-bit from its parameters alone. Per-trial
 seeds are derived by mixing the base seed with the trial index, which keeps
 trials independent and order-insensitive.
+
+``SplitMix64`` defines the stream. Because splitmix64 is counter-based, draw
+``i`` of the stream from ``seed`` is ``mix64(seed + i * gamma)``, so
+``sample_gnp`` computes a whole adjacency row of draws at once, packed into
+128-bit lanes of one integer, and ``embed_template`` works on whole rows
+too: neither has a loop per vertex pair.
 """
 
 from __future__ import annotations
@@ -13,11 +19,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, DomainError, SizeCapExceededError, as_budget
 from .exact import chromatic_number, contains_subgraph
-from .graphs import Graph, bits
+from .graphs import Graph
 from .constructions import TemplateGraph
 
 RNG_NAME = "splitmix64-v1"
@@ -111,17 +118,62 @@ def derive_trial_seed(seed: int, trial: int) -> int:
     return mix64((seed & _MASK64) ^ trial)
 
 
+_LANE = 16  # bytes per lane: a 64-bit value times a 64-bit constant fits
+
+
+def _lanes(values) -> int:
+    """The values, each below 2^128, packed one per lane, lane 0 lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE, "little") for v in values),
+                          "little")
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags_to_mask(flags) -> int:
+    """Bit j set iff ``flags[j]`` is 1, for a non-empty byte string of 0s
+    and 1s."""
+    return int(flags[::-1].translate(_BIT_DIGITS), 2)
+
+
 def sample_gnp(params: GnpParams) -> Graph:
-    """One G(n,p) sample; pairs drawn in lexicographic order."""
-    rng = SplitMix64(params.seed)
-    threshold = _edge_threshold(params.p)
-    rows = [0] * params.n
-    for u in range(params.n):
-        for v in range(u + 1, params.n):
-            if rng.next_u64() < threshold:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(params.n, tuple(rows))
+    """One G(n,p) sample; pairs drawn in lexicographic order.
+
+    Pair ``(u, v)``, ``u < v``, takes the next draw of ``SplitMix64(seed)``
+    and is an edge iff the draw is below round(p * 2^64), ties to even. Row
+    ``u`` takes draws ``b`` to ``b + n - 2 - u`` of the stream, counted from
+    0, where ``b`` counts the pairs of earlier rows, so its states are
+    ``seed + (b + 1) * gamma`` plus multiples of gamma. They are computed
+    together, one per 128-bit lane of one integer: every step of the
+    finaliser keeps each lane below 2^128, and the masks after each shift
+    drop the bits that cross a lane boundary. Lane ``j`` of
+    ``2^64 + t - 1 - z`` has bit 64 set exactly when its draw ``z`` is below
+    the threshold ``t``, and it never borrows from the next lane, for every
+    ``t`` in ``[0, 2^64]``. The flags of all rows fill the upper triangle of
+    an n-by-n byte matrix, whose columns give the lower triangle.
+    """
+    n = params.n
+    guard = (1 << 64) + _edge_threshold(params.p) - 1
+    width = max(n - 1, 0)
+    ones = _lanes([1] * width)
+    low64 = ones * _MASK64
+    steps = _lanes([j * _GAMMA & _MASK64 for j in range(width)])
+    matrix = bytearray(n * n)
+    state = (params.seed + _GAMMA) & _MASK64  # the state of the first draw
+    for u in range(n - 1):
+        m = n - 1 - u
+        keep = (1 << 128 * m) - 1
+        lane_ones, lane_low = ones & keep, low64 & keep
+        z = (state * lane_ones + (steps & keep)) & lane_low
+        z = ((z ^ (z >> 30)) & lane_low) * 0xBF58476D1CE4E5B9 & lane_low
+        z = ((z ^ (z >> 27)) & lane_low) * 0x94D049BB133111EB & lane_low
+        z ^= (z >> 31) & lane_low
+        below = (guard * lane_ones - z).to_bytes(_LANE * m, "little")[8::_LANE]
+        matrix[u * n + u + 1:(u + 1) * n] = below
+        state = (state + m * _GAMMA) & _MASK64  # the next row's first draw
+    rows = tuple(_flags_to_mask(matrix[v * n:(v + 1) * n]) | _flags_to_mask(matrix[v::n])
+                 for v in range(n))
+    return Graph(n, rows)
 
 
 # -- definitional quantities -------------------------------------------------------
@@ -289,6 +341,8 @@ def check_ambient_properties(g: Graph, p, set_size_cap: int = 3,
     null where the expectation is 0; no pass or fail verdict is attached
     unless the caller applies one.
     """
+    if sample_count < 1:
+        raise DomainError("sample count must be positive")
     pq = parse_probability(p)
     pf = float(pq)
     n = g.n
@@ -357,23 +411,48 @@ def check_ambient_properties(g: Graph, p, set_size_cap: int = 3,
 
 def _find_clique(g: Graph, within: Sequence[int], k: int, budget) -> Optional[tuple[int, ...]]:
     """Exhaustive k-clique search inside the given vertices, lex-first."""
-    verts = sorted(within)
+    return _extend_clique(g, sorted(within), k, budget, [], 0)
 
-    def rec(chosen: list[int], start: int) -> Optional[tuple[int, ...]]:
-        budget.spend()
-        if len(chosen) == k:
-            return tuple(chosen)
-        for i in range(start, len(verts)):
-            v = verts[i]
-            if all(g.has_edge(v, c) for c in chosen):
-                chosen.append(v)
-                got = rec(chosen, i + 1)
-                if got is not None:
-                    return got
-                chosen.pop()
-        return None
 
-    return rec([], 0)
+def _extend_clique(g: Graph, verts: list[int], k: int, budget,
+                   chosen: list[int], start: int) -> Optional[tuple[int, ...]]:
+    # A module-level function, not a closure that calls itself: such a
+    # closure is a reference cycle, which would keep each sample alive until
+    # the cyclic collector runs.
+    budget.spend()
+    if len(chosen) == k:
+        return tuple(chosen)
+    for i in range(start, len(verts)):
+        v = verts[i]
+        if all(g.has_edge(v, c) for c in chosen):
+            chosen.append(v)
+            got = _extend_clique(g, verts, k, budget, chosen, i + 1)
+            if got is not None:
+                return got
+            chosen.pop()
+    return None
+
+
+def _row_map(phi: list[int]):
+    """The map that takes an adjacency row to its image under the vertex
+    permutation ``phi``. ``phi`` permutes the vertices below some ``low`` and
+    fixes the rest, so a row keeps its bits from ``low`` up, and its lower
+    bits move together, as one string of binary digits."""
+    low = max((v + 1 for v, w in enumerate(phi) if v != w), default=0)
+    if not low:
+        return lambda row: row
+    inverse = [0] * low
+    for v in range(low):
+        inverse[phi[v]] = v
+    # digit i of a low-bit string is vertex low - 1 - i
+    pick = itemgetter(*(low - 1 - inverse[low - 1 - i] for i in range(low)))
+    low_mask = (1 << low) - 1
+    digits = f"0{low}b"
+
+    def move(row: int) -> int:
+        return row & ~low_mask | int("".join(pick(format(row & low_mask, digits))), 2)
+
+    return move
 
 
 def embed_template(template: TemplateGraph, params: GnpParams, gamma,
@@ -385,7 +464,9 @@ def embed_template(template: TemplateGraph, params: GnpParams, gamma,
     for an |X|-clique there. Round 2 maps X to the clique, Y to the other
     initial vertices, everything else in order, and keeps exactly the
     template edges present in the full sample; clique edges all survive
-    because round 1 exposed them.
+    because round 1 exposed them. The intersection is taken row by row:
+    each template row is mapped through the vertex map and ANDed with the
+    sample's row, and the record reads its degrees from those rows.
     """
     budget = as_budget(budget, "embed_template")
     g = template.graph
@@ -406,28 +487,27 @@ def embed_template(template: TemplateGraph, params: GnpParams, gamma,
         record.update({"min_degree": None, "min_degree_ratio": None,
                        "x_edges_preserved": None})
         return record
-    rest = [v for v in range(params.n) if v not in set(clique)]
-    phi = {}
-    for i, v in enumerate(template.set_x):
-        phi[v] = clique[i]
-    others = iter(rest)
-    for v in range(params.n):
-        if v not in phi:
-            phi[v] = next(others)
-    rows = [0] * params.n
-    for u, v in g.edges():
-        a, b = phi[u], phi[v]
-        if sample.has_edge(a, b):
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    result = Graph(params.n, tuple(rows))
-    x_edges = [(phi[u], phi[v]) for u, v in g.edges()
-               if u in template.set_x and v in template.set_x]
-    min_deg = result.min_degree()
+    n = params.n
+    phi = [0] * n
+    for v, c in zip(template.set_x, clique):
+        phi[v] = c
+    in_x, in_clique = set(template.set_x), set(clique)
+    rest = (v for v in range(n) if v not in in_clique)
+    for v in range(n):
+        if v not in in_x:
+            phi[v] = next(rest)
+    move = _row_map(phi)
+    mapped = [0] * n
+    for u, row in enumerate(g.adj):
+        mapped[phi[u]] = move(row)
+    result = [t & s for t, s in zip(mapped, sample.adj)]
+    clique_mask = sum(1 << c for c in clique)
+    min_deg = min((row.bit_count() for row in result), default=0)
     record.update({
         "min_degree": min_deg,
-        "min_degree_ratio": min_deg / (float(params.p) * params.n),
-        "x_edges_preserved": all(result.has_edge(a, b) for a, b in x_edges),
+        "min_degree_ratio": min_deg / (float(params.p) * n),
+        "x_edges_preserved": all(not mapped[c] & clique_mask & ~result[c]
+                                 for c in clique),
     })
     return record
 

@@ -6,8 +6,10 @@ Run from the repository root:
 
 It runs the ``classify``, ``threshold``, ``regimes`` and ``threshold-star``
 verbs through ``cli.main`` on every graph with at most 6 vertices and on a
-few named graphs, and writes each exit code and stdout to ``corpus.jsonl``
-beside this script, one JSON object per line. ``tests/test_golden.py`` asserts that the CLI still
+few named graphs, then the ``sample`` and ``experiment`` verbs on the seeded
+cases of ``seeded_cases``, and writes each exit code and stdout to
+``corpus.jsonl`` beside this script, one JSON object per line. A seeded entry
+also records its ``argv``. ``tests/test_golden.py`` asserts that the CLI still
 prints exactly these bytes. Regenerate only when an output change is
 intended, and say why in the change log.
 """
@@ -59,10 +61,34 @@ def inputs() -> list[tuple[str, str]]:
     return out
 
 
-def run(verb: str, graph6: str) -> tuple[int, str]:
+MAX_SEED = (1 << 64) - 1  # the generator state wraps on its first step
+
+
+def seeded_cases() -> list[tuple[str, list[str]]]:
+    """(name, argv) pairs for the seeded verbs: G(n, p) samples over sizes,
+    probabilities and seeds, and template experiments at k = 3 (n = 40 also
+    at other k and p, one of them a domain error)."""
+    cases = []
+    for n in (0, 1, 2, 40, 200):
+        for p in ("0", "1/3", "0.3", "1/2", "1"):
+            for seed in (0, 1, MAX_SEED):
+                cases.append((f"sample n={n} p={p} seed={seed}",
+                              ["sample", "--n", str(n), "--p", p, "--seed", str(seed)]))
+    runs = [(200, "1/2", 3, 4, seed) for seed in (0, 635340061525167377, MAX_SEED)]
+    runs += [(40, "1/2", 3, 10, seed) for seed in (0, 7, MAX_SEED)]
+    runs += [(40, "3/10", 3, 10, 7)]
+    runs += [(40, "1/2", k, 10, 7) for k in (1, 2, 4, 5)]
+    for n, p, k, trials, seed in runs:
+        cases.append((f"experiment n={n} p={p} k={k} seed={seed}",
+                      ["experiment", "--n", str(n), "--p", p, "--k", str(k),
+                       "--trials", str(trials), "--seed", str(seed)]))
+    return cases
+
+
+def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([verb, "--graph6", graph6])
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -71,9 +97,13 @@ def main_regenerate() -> None:
     entries = []
     for name, graph6 in inputs():
         for verb in VERBS:
-            code, stdout = run(verb, graph6)
+            code, stdout = run([verb, "--graph6", graph6])
             entries.append({"name": name, "graph6": graph6, "verb": verb,
                             "exit": code, "stdout": stdout})
+    for name, argv in seeded_cases():
+        code, stdout = run(argv)
+        entries.append({"name": name, "argv": argv, "verb": argv[0],
+                        "exit": code, "stdout": stdout})
     CORPUS.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in entries))
 
 

@@ -148,6 +148,13 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and "domain" in err.lower()
 
 
+def test_experiment_k0_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "experiment", "--n", "10", "--p", "0",
+                             "--k", "0", "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err == "domain error: k must be at least 1\n"
+
+
 def test_budget_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLD_LAB_BUDGET", "5")
     code, out, err = run_cli(capsys, "threshold", "--graph6", "DLo")

@@ -204,5 +204,7 @@ def test_template_min_degree_scales():
 def test_template_validation():
     with pytest.raises(DomainError):
         make_template(Graph.complete(3), 12, 4)
+    with pytest.raises(DomainError, match="k must be at least 1"):
+        make_template(Graph.empty(0), 10, 0)
     with pytest.raises(DomainError):
         TemplateGraph(Graph.complete(4), (0, 1), (2, 3))

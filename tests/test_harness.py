@@ -4,15 +4,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
-from threshold_lab.constructions import blow_up, make_template
-from threshold_lab.errors import BudgetExceededError, DomainError
+from threshold_lab.constructions import TemplateGraph, blow_up, make_template
+from threshold_lab.errors import BudgetExceededError, DomainError, as_budget
 from threshold_lab.graphs import Graph
 from threshold_lab.harness import (
     ExperimentReport,
     GnpParams,
     RNG_NAME,
     SplitMix64,
+    _edge_threshold,
+    _find_clique,
     bad_pair_count,
     check_ambient_properties,
     count_completable,
@@ -58,6 +61,32 @@ def test_sample_edge_count_calibration():
     for seed in range(20):
         g = sample_gnp(GnpParams(n, p, seed))
         assert abs(g.edge_count() - mean) < 5 * sd
+
+
+def oracle_sample_gnp(params):
+    """The definition of the sampler: one stream draw per pair, pairs in
+    lexicographic order."""
+    rng = SplitMix64(params.seed)
+    threshold = _edge_threshold(params.p)
+    rows = [0] * params.n
+    for u in range(params.n):
+        for v in range(u + 1, params.n):
+            if rng.next_u64() < threshold:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(params.n, tuple(rows))
+
+
+MAX_SEED = (1 << 64) - 1  # the stream state wraps on the first draw
+probabilities = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+                          st.fractions(min_value=0, max_value=1))
+seeds = st.one_of(st.sampled_from([0, MAX_SEED]), st.integers(0, MAX_SEED))
+
+
+@given(st.integers(0, 40), probabilities, seeds)
+def test_sample_matches_pairwise_oracle(n, p, seed):
+    params = GnpParams(n, p, seed)
+    assert sample_gnp(params) == oracle_sample_gnp(params)
 
 
 def test_trial_seed_derivation_distinct():
@@ -228,6 +257,11 @@ def test_audit_mismatch_flagged():
     assert rep["A3"]["mean_relative_deviation"] == pytest.approx(1.0)
 
 
+def test_audit_rejects_no_samples():
+    with pytest.raises(DomainError, match="sample count must be positive"):
+        check_ambient_properties(Graph.cycle(5), "0.5", sample_count=0)
+
+
 def test_audit_sampled_graph_close():
     g = sample_gnp(GnpParams(400, "0.3", 4))
     rep = check_ambient_properties(g, "0.3", set_size_cap=2, sample_count=200,
@@ -249,7 +283,6 @@ def test_embed_template_p1_exact():
 
 
 def test_embed_template_k1_always_passes_round1():
-    from threshold_lab.constructions import TemplateGraph
     g = Graph.from_edges(10, [(u, v) for u in range(3, 10)
                               for v in range(u + 1, 10)])
     tpl = TemplateGraph(g, (0,), (1, 2))
@@ -262,6 +295,73 @@ def test_embed_template_p0_no_clique():
     tpl = make_template(Graph.complete(3), 12, 3)
     rec = embed_template(tpl, GnpParams(12, 0, 1), Fraction(1, 10))
     assert not rec["clique_found"] and rec["min_degree"] is None
+
+
+def oracle_embed_template(template, params, gamma, budget):
+    """The embedding edge by edge: map each template edge through phi and
+    keep it when the sample has it."""
+    g = template.graph
+    k = len(template.set_x)
+    initial = k + len(template.set_y)
+    sample = oracle_sample_gnp(params)
+    budget = as_budget(budget, "embed_template")
+    clique = _find_clique(sample, range(initial), k, budget) if k else ()
+    record = {"seed": params.seed, "rng": RNG_NAME, "clique_found": clique is not None}
+    if clique is None:
+        record.update({"min_degree": None, "min_degree_ratio": None,
+                       "x_edges_preserved": None})
+        return record
+    phi = dict(zip(template.set_x, clique))
+    others = iter([v for v in range(params.n) if v not in clique])
+    for v in range(params.n):
+        if v not in phi:
+            phi[v] = next(others)
+    rows = [0] * params.n
+    for u, v in g.edges():
+        a, b = phi[u], phi[v]
+        if sample.has_edge(a, b):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    result = Graph(params.n, tuple(rows))
+    x_edges = [(phi[u], phi[v]) for u, v in g.edges()
+               if u in template.set_x and v in template.set_x]
+    min_deg = result.min_degree()
+    record.update({
+        "min_degree": min_deg,
+        "min_degree_ratio": min_deg / (float(params.p) * params.n),
+        "x_edges_preserved": all(result.has_edge(a, b) for a, b in x_edges),
+    })
+    return record
+
+
+@st.composite
+def templates(draw):
+    """make_template at any accepted n <= 60 and k, with a complete or a
+    random core, its vertices relabelled or not."""
+    n = draw(st.integers(3, 60))
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if k + n // k <= n]))
+    core = draw(st.one_of(
+        st.just(Graph.complete(k)),
+        seeds.map(lambda seed: oracle_sample_gnp(GnpParams(k, Fraction(1, 2), seed)))))
+    tpl = make_template(core, n, k)
+    perm = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
+    pos = {v: i for i, v in enumerate(perm)}
+    return TemplateGraph(tpl.graph.relabel(perm), tuple(pos[v] for v in tpl.set_x),
+                         tuple(sorted(pos[v] for v in tpl.set_y)))
+
+
+@given(templates(), probabilities, seeds)
+def test_embedding_matches_edgewise_oracle(template, p, seed):
+    # Both share the round-1 clique search, which is exponential in k on a
+    # dense sample; the budget bounds it, and both must then run out alike.
+    params = GnpParams(template.graph.n, p, seed)
+    records = []
+    for embed in (embed_template, oracle_embed_template):
+        try:
+            records.append(embed(template, params, Fraction(1, 10), 20_000))
+        except BudgetExceededError as exc:
+            records.append(str(exc))
+    assert records[0] == records[1]
 
 
 def test_experiment_report_shape_and_determinism():
