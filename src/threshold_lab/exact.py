@@ -468,45 +468,303 @@ def embed_forest(g: Graph, f: Graph, budget=None) -> Optional[Embedding]:
 # -- canonical form ------------------------------------------------------------
 
 
-def _min_code(n: int, adj: Sequence[int], budget) -> int:
-    """The least code over all vertex orderings, as an ``n(n-1)/2``-bit int.
+def _min_code(n: int, adj: Sequence[int], budget) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    """The least code over all vertex orderings as an ``n(n-1)/2``-bit int,
+    an ordering that gives it, and automorphisms that generate the whole
+    group of the graph, each a tuple ``perm`` with ``perm[v]`` the image of
+    ``v``. ``canonical_form`` describes the search.
 
-    A search node is a placed prefix of the ordering. ``cand`` lists the
-    unused vertices and ``rows[i]`` is the row that ``cand[i]`` would append
-    next: its adjacency to the placed vertices in placement order, earliest
-    placed most significant.
+    ``choose`` picks the independent set ``chosen``. ``place`` then extends
+    ``seq``, the vertices placed after it, while ``scells`` splits
+    ``chosen`` into ordered cells. The unplaced vertices sit in cells
+    ``cls`` (masks) by the row ``rws`` that each would append next, in
+    ascending row order; the children of a node are the vertices of its
+    first cell. ``moved[j]`` masks the vertices that ``gens[j]`` moves.
     """
+    if not n:
+        return 0, [], []
     total = n * (n - 1) // 2
+    full = (1 << n) - 1
+    # search in low-degree-first labels: a small code turns up early
+    label = sorted(range(n), key=[row.bit_count() for row in adj].__getitem__)
+    rank = [0] * n
+    for i, v in enumerate(label):
+        rank[v] = i
+    old = adj
+    adj = []
+    for v in label:
+        row = old[v]
+        new = 0
+        while row:
+            low = row & -row
+            row ^= low
+            new |= 1 << rank[low.bit_length() - 1]
+        adj.append(new)
+
+    gens: list[list[int]] = []
+    moved: list[int] = []
+    # twins have equal open neighbourhoods if they are not adjacent, and
+    # equal closed ones (keyed apart by bit n) if they are
     twins = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                twins[u] |= 1 << v
-                twins[v] |= 1 << u
-    best = 1 << total  # above every code, so the first leaf replaces it
+    classes: dict[int, int] = {}
+    for v in range(n):
+        for key in (adj[v], adj[v] | 1 << v | 1 << n):
+            classes[key] = classes.get(key, 0) | 1 << v
+    for same in classes.values():
+        first = same & -same
+        rest = same ^ first
+        u = first.bit_length() - 1
+        while rest:  # swaps with the least twin span the class
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            twins[v] |= same ^ low
+            twins[u] |= low
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            gens.append(perm)
+            moved.append(first | low)
+    twin_swaps = len(gens)  # whose orbits the twin cut already covers
+    comps: list[int] = []
+    rest = full
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest ^= comp
+        if comp & (comp - 1):  # single vertices are twins already
+            comps.append(comp)
+    sizes = [comp.bit_count() for comp in comps]
+    kinds: dict[tuple[int, int], list[list[int]]] = {}
+    for comp, size in zip(comps, sizes):
+        if sizes.count(size) > 1:  # a component with a same-sized partner
+            verts = list(bits(comp))
+            local = [sum(1 << i for i, u in enumerate(verts) if adj[v] >> u & 1) for v in verts]
+            code, order, _ = _min_code(len(verts), local, budget)
+            kinds.setdefault((len(verts), code), []).append([verts[i] for i in order])
+    for same in kinds.values():  # equal codes: order[i] -> order'[i]
+        for i, a in enumerate(same):
+            for b in same[i + 1:]:
+                perm = list(range(n))
+                for x, y in zip(a, b):
+                    perm[x], perm[y] = y, x
+                gens.append(perm)
+                moved.append(sum(1 << x for x in a + b))
 
-    def rec(depth: int, prefix: int, cand: list[int], rows: list[int]):
-        nonlocal best
-        budget.spend()
-        if not cand:
-            best = prefix
-            return
-        least = min(rows)
-        prefix = prefix << depth | least
-        depth += 1
-        if prefix > best >> (total - depth * (depth - 1) // 2):
-            return
-        tried = 0
-        for i, v in enumerate(cand):
-            if rows[i] != least or twins[v] & tried:
+    def orbit_of(tried: int, fixed: int, stable: int) -> int:
+        """The orbit of ``tried`` under the known automorphisms that fix
+        ``fixed`` pointwise and map ``stable`` onto itself."""
+        active = []
+        for g, m in zip(gens, moved):
+            if m & fixed:
                 continue
-            tried |= 1 << v
-            rec(depth, prefix, cand[:i] + cand[i + 1:],
-                [r << 1 | (adj[u] >> v & 1) for u, r in zip(cand, rows) if u != v])
+            image = rest = stable & m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                image ^= 1 << g[low.bit_length() - 1]
+            if not image:
+                active.append(g)
+        orbit = frontier = tried
+        while frontier and active:
+            image = 0
+            for g in active:
+                rest = frontier
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    image |= 1 << g[low.bit_length() - 1]
+            frontier = image & ~orbit
+            orbit |= frontier
+        return orbit
 
-    # low degree first: a small code turns up early and the prefix cut bites
-    rec(0, 0, sorted(range(n), key=lambda v: (adj[v].bit_count(), v)), [0] * n)
-    return best
+    best = 1 << total  # above every code, so the first leaf replaces it
+    best_set = 0
+    best_seq: list[int] = []
+    best_order: list[int] = []
+    zeros = 0  # the size of best_set: how many leading rows of best are zero
+    seq: list[int] = []
+    jump = n  # after an automorphism, the depth of the node to resume at
+
+    def leaf(prefix: int, chosen: int, scells: list[int]) -> None:
+        nonlocal best, best_set, best_seq, best_order, zeros, jump
+        order = [x for cell in scells for x in bits(cell)] + seq
+        if prefix < best:
+            best, best_set, best_seq, best_order = prefix, chosen, seq[:], order
+            zeros = chosen.bit_count()
+            return
+        perm = list(range(n))  # equal codes: best_order[i] -> order[i]
+        mask = 0
+        for x, y in zip(best_order, order):
+            if x != y:
+                perm[x] = y
+                mask |= 1 << x
+        gens.append(perm)
+        moved.append(mask)
+        # the automorphism maps the best leaf's branch at the first node
+        # where they part onto this leaf's, and that branch was searched in
+        # full: return to that node, or leave this set if it maps best_set
+        # onto chosen
+        if chosen == best_set:
+            jump = zeros + next(i for i, (x, y) in enumerate(zip(best_seq, seq)) if x != y)
+        else:
+            jump = -1
+
+    def regroup(rws: list[int], cls: list[int], v: int, scells: list[int]):
+        """The cells of the vertices still unplaced once placing ``v`` has
+        split the cells of ``chosen`` into ``scells``: each row's part over
+        ``chosen`` is rebuilt and its part over ``seq`` extended."""
+        rows: dict[int, int] = {}
+        sizes = [cell.bit_count() for cell in scells]
+        q = len(seq) - 1
+        keep = (1 << q) - 1
+        for old, m in zip(rws, cls):
+            m &= ~(1 << v)
+            while m:
+                low = m & -m
+                m ^= low
+                a = adj[low.bit_length() - 1]
+                r = 0
+                for cell, size in zip(scells, sizes):
+                    r = r << size | (1 << (cell & a).bit_count()) - 1
+                r = (r << q | old & keep) << 1 | (a >> v & 1)
+                rows[r] = rows.get(r, 0) | low
+        new = sorted(rows)
+        return new, [rows[r] for r in new]
+
+    def place(prefix: int, rws: list[int], cls: list[int], chosen: int, scells: list[int]):
+        """Search below a node whose ``prefix`` already holds the row of the
+        next vertex, ``rws[0]``. A run of nodes with one child each is
+        walked in this frame."""
+        nonlocal jump
+        base = len(seq)
+        size = chosen.bit_count()
+        while True:
+            cell = cls[0]
+            p = size + len(seq)
+            forced = not cell & (cell - 1)
+            tried = orbit = 0
+            t = cell
+            while t:
+                low = t & -t
+                t ^= low
+                v = low.bit_length() - 1
+                if twins[v] & tried or orbit & low:
+                    continue
+                budget.spend()
+                a = adj[v]
+                seq.append(v)
+                split = scells
+                if len(scells) < size:  # some cell of chosen has two vertices
+                    split = [c for x in scells for c in (x & ~a, x & a) if c]
+                if len(split) > len(scells):
+                    nr, nc = regroup(rws, cls, v, split)
+                else:  # each row gains v's bit: cells split, order kept
+                    split = scells
+                    nr = []
+                    nc = []
+                    m = cell ^ low
+                    for i, r in enumerate(rws):
+                        if i:
+                            m = cls[i]
+                        if m & ~a:
+                            nr.append(r << 1)
+                            nc.append(m & ~a)
+                        if m & a:
+                            nr.append(r << 1 | 1)
+                            nc.append(m & a)
+                if not nc:
+                    leaf(prefix, chosen, split)
+                    del seq[base:]
+                    return
+                child = prefix << (p + 1) | nr[0]
+                if child > best >> (total - (p + 1) * (p + 2) // 2):
+                    seq.pop()
+                elif forced:
+                    prefix, rws, cls, scells = child, nr, nc, split
+                    break
+                else:
+                    place(child, nr, nc, chosen, split)
+                    seq.pop()
+                    if jump < p:
+                        del seq[base:]
+                        return
+                    jump = n
+                tried |= low
+                if len(gens) > twin_swaps and t:
+                    placed = 0
+                    for u in seq:
+                        placed |= 1 << u
+                    orbit = orbit_of(tried, placed, chosen)
+            else:
+                del seq[base:]
+                return
+
+    def choose(chosen: int, nbrs: int, avail: int) -> None:
+        """Search below a node that has chosen the independent set
+        ``chosen`` with neighbourhood ``nbrs``; ``avail`` holds the vertices
+        above the last chosen that could still join."""
+        nonlocal jump
+        size = chosen.bit_count()
+        if not avail:
+            unplaced = full & ~chosen
+            if unplaced & ~nbrs or size < zeros:
+                return  # not maximal, or smaller than best_set
+            if not unplaced:
+                leaf(0, chosen, [chosen])
+                return
+            # a row over the one cell ``chosen`` ends in one 1 per neighbour
+            counts = [0] * (size + 1)
+            for u in bits(unplaced):
+                counts[(adj[u] & chosen).bit_count()] |= 1 << u
+            rws = [(1 << k) - 1 for k, m in enumerate(counts) if m]
+            if rws[0] <= best >> (total - size * (size + 1) // 2):
+                place(rws[0], rws, [m for m in counts if m], chosen, [chosen])
+                jump = n
+            return
+        bound = size + avail.bit_count()
+        rest = avail
+        while rest:  # a matching in avail: each edge keeps one end out
+            low = rest & -rest
+            rest ^= low
+            mate = adj[low.bit_length() - 1] & rest
+            if mate:
+                rest ^= mate & -mate
+                bound -= 1
+        if bound < zeros:
+            return
+        tried = orbit = 0
+        t = avail
+        while t and size + t.bit_count() >= zeros:
+            low = t & -t
+            t ^= low
+            v = low.bit_length() - 1
+            if twins[v] & tried or orbit & low:
+                continue
+            budget.spend()
+            below = nbrs | adj[v]
+            if t & ~adj[v] or not full & ~chosen & ~low & ~below:  # else not maximal
+                choose(chosen | low, below, t & ~adj[v])
+            tried |= low
+            if len(gens) > twin_swaps and t:
+                orbit = orbit_of(tried, chosen, 0)
+
+    budget.spend()  # the root
+    try:
+        choose(0, 0, full)
+    finally:
+        # the nested functions reach each other through their cells; cut
+        # those cycles so that reference counting frees the search at once
+        # and the cyclic collector is not set off by every call
+        orbit_of = leaf = regroup = place = choose = None
+    return (best, [label[v] for v in best_order],
+            [tuple([label[g[r]] for r in rank]) for g in gens])
 
 
 def canonical_form(g: Graph, budget=None) -> bytes:
@@ -516,8 +774,18 @@ def canonical_form(g: Graph, budget=None) -> bytes:
     read column by column ((0,1), (0,2), (1,2), (0,3), ...), is the
     lexicographically least over all vertex orderings. Placing the ``d``-th
     vertex appends its ``d``-bit row of adjacencies to the vertices already
-    placed, so the search extends the ordering one vertex at a time and cuts
-    three kinds of branch, none of which can hold the least code:
+    placed, earliest placed most significant.
+
+    The least code opens with as many zero rows as it can, so its first
+    vertices form a largest independent set ``S``. The search first chooses
+    ``S`` as a set, one vertex at a time in ascending order, and cuts a set
+    that is not maximal or cannot grow as large as the best so far. The
+    order inside ``S`` is left open: it holds cells, and the row of a later
+    vertex is least with its ones at the end of each cell. Placing that
+    vertex fixes so much of the order by splitting each cell into its
+    non-neighbours, then its neighbours. After ``S`` the search extends the
+    ordering one vertex at a time. It cuts four kinds of branch, none of
+    which can hold the least code:
 
     - a prefix already greater than the same-length prefix of the best code
       found so far;
@@ -525,14 +793,29 @@ def canonical_form(g: Graph, budget=None) -> bytes:
       unused vertices, since every next row has the same length;
     - a next vertex that is a twin (``N(u) - {v} == N(v) - {u}``) of a
       sibling already tried: swapping two unused twins is an automorphism
-      fixing every placed vertex, so both subtrees hold the same codes.
+      fixing every placed vertex, so both subtrees hold the same codes;
+    - a next vertex to which a chain of known automorphisms maps a sibling
+      already tried, each fixing the placed vertices and mapping ``S`` onto
+      itself (while ``S`` is chosen: fixing the chosen vertices). Such an
+      automorphism maps the sibling's subtree onto this one, so again both
+      hold the same codes.
+
+    The automorphisms are the twin swaps, the swaps of two isomorphic
+    components (the search of each component gives the isomorphism) and
+    those found at leaves: two orderings with the same code differ by an
+    automorphism (McKay, Congr. Numer. 30, 1981; McKay & Piperno, J. Symb.
+    Comput. 60, 2014). It maps the branch that holds the best leaf, at the
+    node where the two leaves part, onto the branch that holds the new one.
+    The first branch was searched in full, so the search returns to that
+    node; if the two leaves chose different sets ``S``, it leaves the new
+    set. The automorphisms found generate the whole group of ``g``.
 
     Every search node spends one unit of ``budget``.
     """
     budget = as_budget(budget, "canonical_form")
     if g.n == 0:
         return pack_graph6(0, 0)
-    return pack_graph6(g.n, _min_code(g.n, g.adj, budget))
+    return pack_graph6(g.n, _min_code(g.n, g.adj, budget)[0])
 
 
 def are_isomorphic(a: Graph, b: Graph, budget=None) -> bool:

@@ -503,9 +503,10 @@ def embed_template(template: TemplateGraph, params: GnpParams, gamma,
     result = [t & s for t, s in zip(mapped, sample.adj)]
     clique_mask = sum(1 << c for c in clique)
     min_deg = min((row.bit_count() for row in result), default=0)
+    expected = float(params.p) * n
     record.update({
         "min_degree": min_deg,
-        "min_degree_ratio": min_deg / (float(params.p) * n),
+        "min_degree_ratio": min_deg / expected if expected else None,
         "x_edges_preserved": all(not mapped[c] & clique_mask & ~result[c]
                                  for c in clique),
     })

@@ -2,17 +2,19 @@
 
 ``oracle_min_code`` tries every unused vertex at every depth and cuts a
 branch only when its prefix exceeds the best code found so far; it knows
-nothing of the least-row and twin cuts. canonical_form must give the same
-bytes on every input.
+nothing of the independent-set, least-row, twin and automorphism cuts.
+canonical_form must give the same bytes on every input.
 """
 
 import random
+from itertools import combinations, permutations
 from typing import Optional
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from threshold_lab.errors import Budget
-from threshold_lab.exact import canonical_form
+from threshold_lab.atlas import _mask_orbit_leaders
+from threshold_lab.errors import Budget, BudgetExceededError
+from threshold_lab.exact import _min_code, canonical_form
 from threshold_lab.formats import write_graph6
 from threshold_lab.graphs import Graph
 
@@ -110,8 +112,100 @@ def test_matches_oracle_on_symmetric_graphs():
         assert canonical_form(h) == oracle_canonical_form(h), write_graph6(g)
 
 
+def test_matches_oracle_on_circulants():
+    # vertex-transitive graphs: every first vertex is in one orbit, and each
+    # cut by an automorphism must fix what it should. E_n and K_n are left
+    # out, as the oracle would walk all n! orderings of them
+    rng = random.Random(11)
+    for n in range(4, 12):
+        half = n // 2
+        for size in range(1, half):
+            for steps in combinations(range(1, half + 1), size):
+                g = Graph.from_edges(n, sorted({(min(u, (u + d) % n), max(u, (u + d) % n))
+                                                for u in range(n) for d in steps}))
+                want = oracle_canonical_form(g)
+                for _ in range(5):
+                    assert canonical_form(random_relabelling(g, rng)) == want, (n, steps)
+
+
 def test_twin_classes_cost_one_node_per_depth():
     for g in [Graph.empty(9), Graph.complete(8)]:
         budget = Budget()
         canonical_form(g, budget)
         assert budget.used <= g.n + 1
+
+
+def test_isomorphic_components_cost_few_nodes():
+    # the ten endpoints go first as one independent set, whose order the
+    # later rows fix, and swapping two unplaced copies of P3 is an
+    # automorphism: no order of the endpoints or of the copies is searched
+    # twice
+    p3 = Graph.path(3)
+    g = Graph.from_edges(15, [(3 * i + u, 3 * i + v) for i in range(5)
+                              for u, v in p3.edges()])
+    budget = Budget()
+    canonical_form(random_relabelling(g, random.Random(5)), budget)
+    assert budget.used < 10_000
+
+
+@given(st.integers(1, 4), st.integers(2, 4), st.integers(0, 3), st.integers(0, 2**64 - 1))
+def test_matches_oracle_on_isomorphic_components(size, copies, extra, seed):
+    assume(size * copies <= 8)
+    rng = random.Random(seed)
+    base = Graph.from_edges(size, [(u, v) for v in range(size) for u in range(v)
+                                   if rng.random() < 0.5])
+    edges = set()
+    for i in range(copies):
+        part = random_relabelling(base, rng)
+        edges |= {(size * i + u, size * i + v) for u, v in part.edges()}
+    n = size * copies
+    for _ in range(extra):  # optional edges between or inside the copies
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    h = random_relabelling(Graph.from_edges(n, sorted(edges)), rng)
+    assert canonical_form(h) == oracle_canonical_form(h)
+
+
+@given(st.integers(0, 9), st.integers(0, 2**64 - 1), st.integers(0, 400))
+def test_budget_only_turns_the_answer_into_an_error(n, seed, limit):
+    rng = random.Random(seed)
+    p = rng.random()
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if rng.random() < p])
+    h = random_relabelling(g, rng)
+    try:
+        code = canonical_form(h, Budget(limit))
+    except BudgetExceededError:
+        return
+    assert code == canonical_form(h)
+
+
+def brute_force_leaders(g: Graph) -> list[int]:
+    """The least mask of each orbit of Aut(g) on vertex masks, from every
+    permutation that is an automorphism."""
+    auts = [perm for perm in permutations(range(g.n))
+            if all(g.adj[perm[v]] == sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1)
+                   for v in range(g.n))]
+    leaders = set()
+    for mask in range(1 << g.n):
+        leaders.add(min(sum(1 << perm[v] for v in range(g.n) if mask >> v & 1)
+                        for perm in auts))
+    return sorted(leaders)
+
+
+def test_generators_give_the_whole_group(atlas_by_n):
+    rng = random.Random(1998)
+    counts = []
+    for k in range(7):
+        total = 0
+        for g in atlas_by_n[k]:
+            h = random_relabelling(g, rng)
+            for perm in _min_code(h.n, h.adj, Budget())[2]:
+                assert all(h.adj[perm[v]] == sum(1 << perm[u] for u in range(h.n)
+                                                 if h.adj[v] >> u & 1)
+                           for v in range(h.n)), write_graph6(g)
+            leaders = _mask_orbit_leaders(h)
+            assert leaders == brute_force_leaders(h), write_graph6(g)
+            total += len(leaders)
+        counts.append(total)
+    assert counts == [1, 2, 6, 20, 90, 544, 5096]  # OEIS A000666

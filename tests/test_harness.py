@@ -291,6 +291,16 @@ def test_embed_template_k1_always_passes_round1():
         assert rec["clique_found"]
 
 
+def test_embed_template_p0_has_no_degree_ratio():
+    # k = 1 passes round 1 at any p, so p = 0 reaches the ratio
+    g = Graph.from_edges(10, [(u, v) for u in range(3, 10)
+                              for v in range(u + 1, 10)])
+    rec = embed_template(TemplateGraph(g, (0,), (1, 2)), GnpParams(10, 0, 1),
+                         Fraction(1, 10))
+    assert rec["clique_found"] and rec["min_degree"] == 0
+    assert rec["min_degree_ratio"] is None
+
+
 def test_embed_template_p0_no_clique():
     tpl = make_template(Graph.complete(3), 12, 3)
     rec = embed_template(tpl, GnpParams(12, 0, 1), Fraction(1, 10))
