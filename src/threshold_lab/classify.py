@@ -4,19 +4,21 @@ that determine chromatic thresholds: cloud-forest, thundercloud-forest,
 
 All searches enumerate candidate independent sets by increasing size and
 lexicographically within a size, and return the first witness found, so
-outputs are deterministic. They read whether a vertex set is independent,
-induces a forest, or has a given chromatic number from the pattern's
-subset tables (``exact.subset_tables``) instead of searching each subset.
+outputs are deterministic. They read chi of the pattern (``exact.pattern_chi``)
+and, from its subset tables (``exact.subset_tables``), whether a vertex set
+is independent, induces a forest, or has a given chromatic number; both live
+in the pattern's record, so each is computed once per pattern. The removal
+sets of the decomposition-family scans come from one walk, ``_removals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError, as_budget
 from .exact import (
-    canonical_form, chromatic_number, colouring_with, masks_by_size, subset_tables,
+    canonical_form, colouring_with, masks_by_size, pattern_chi, subset_tables,
 )
 from .graphs import Graph, bits
 
@@ -167,7 +169,7 @@ def is_near_acyclic(h: Graph, budget=None) -> Optional[NearAcyclicWitness]:
     """chi = 3 plus a partition into independent I and a forest such that
     every odd cycle meets I at least twice."""
     budget = as_budget(budget, "is_near_acyclic")
-    if chromatic_number(h, budget) != 3:
+    if pattern_chi(h, budget) != 3:
         return None
     full = (1 << h.n) - 1
     part = _near_acyclic_part(subset_tables(h, budget), full, budget)
@@ -176,10 +178,18 @@ def is_near_acyclic(h: Graph, budget=None) -> Optional[NearAcyclicWitness]:
     return NearAcyclicWitness(_mask_tuple(part), _mask_tuple(full & ~part))
 
 
+def _removals(h: Graph, count: int, budget) -> Iterator[int]:
+    """Every vertex mask of ``h`` that is the union of ``count`` independent
+    sets, by (popcount, value), spending one node per mask tried."""
+    tables = subset_tables(h, budget)
+    for removed in masks_by_size(h.n):
+        budget.spend()
+        if tables.colourable(removed, count, budget):
+            yield removed
+
+
 def _removal_sequence(h: Graph, removed_mask: int, count: int, budget) -> RemovalSequence:
     """Split the removed set into ``count`` independent sets via colouring."""
-    if count == 0:
-        return RemovalSequence(())
     sub = h.induced_mask(removed_mask)
     vertices = list(bits(removed_mask))
     colours = colouring_with(sub, count, budget)
@@ -194,21 +204,19 @@ def is_r_near_acyclic(h: Graph, r: int, budget=None
     """Witness that deleting the union of r-3 independent sets leaves a
     near-acyclic graph. Requires r = chi(h) >= 3."""
     budget = as_budget(budget, "is_r_near_acyclic")
-    chi = chromatic_number(h, budget)
+    chi = pattern_chi(h, budget)
     if r != chi or r < 3:
         raise DomainError(f"r must equal chi(h) >= 3, got r={r}, chi={chi}")
     if r == 3:  # nothing is removed
         witness = is_near_acyclic(h, budget)
         return (RemovalSequence(()), witness) if witness is not None else None
     tables = subset_tables(h, budget)
-    chi_of = tables.chi_table(budget)
     full = (1 << h.n) - 1
-    for removed in masks_by_size(h.n):
-        budget.spend()
+    for removed in _removals(h, r - 3, budget):
         keep = full & ~removed
         # chi(keep) >= r - chi(removed) >= 3, so chi(keep) == 3 iff keep is
         # 3-colourable; removing every vertex never qualifies, as chi(h) = r
-        if chi_of[removed] > r - 3 or chi_of[keep] > 3:
+        if not tables.colourable(keep, 3, budget):
             continue
         part = _near_acyclic_part(tables, keep, budget)
         if part is not None:
@@ -221,32 +229,29 @@ def decomposition_family(h: Graph, budget=None) -> list[Graph]:
     """Every bipartite graph (up to isomorphism) obtained by deleting the
     union of chi(h)-2 independent sets; sorted by canonical form."""
     budget = as_budget(budget, "decomposition_family")
-    r = chromatic_number(h, budget)
+    r = pattern_chi(h, budget)
     if r < 2:
         raise DomainError("decomposition family needs chi(h) >= 2")
     tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
     seen: dict[bytes, Graph] = {}
-    for removed in range(1 << h.n):
-        budget.spend()
+    for removed in _removals(h, r - 2, budget):
         rest = full & ~removed
-        if not (tables.colourable(removed, r - 2, budget) and tables.bipartite(rest)):
-            continue
-        sub = h.induced_mask(rest)
-        seen.setdefault(canonical_form(sub, budget), sub)
+        if tables.bipartite(rest):
+            sub = h.induced_mask(rest)
+            seen.setdefault(canonical_form(sub, budget), sub)
     return [seen[k] for k in sorted(seen)]
 
 
 def has_forest_in_decomposition_family(h: Graph, budget=None) -> Optional[RemovalSequence]:
     """First removal (by union size, then lex) leaving a forest."""
     budget = as_budget(budget, "has_forest_in_decomposition_family")
-    r = chromatic_number(h, budget)
+    r = pattern_chi(h, budget)
     if r < 3:
         raise DomainError("forest-in-family check needs chi(h) >= 3")
-    tables = subset_tables(h, budget)
+    forest = subset_tables(h, budget).forest
     full = (1 << h.n) - 1
-    for removed in masks_by_size(h.n):
-        budget.spend()
-        if tables.forest[full & ~removed] and tables.colourable(removed, r - 2, budget):
+    for removed in _removals(h, r - 2, budget):
+        if forest[full & ~removed]:
             return _removal_sequence(h, removed, r - 2, budget)
     return None

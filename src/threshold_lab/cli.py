@@ -23,7 +23,7 @@ from typing import Optional, Union
 from .errors import Budget, BudgetExceededError, DomainError, GraphFormatError
 from .graphs import Graph
 from .formats import parse_edge_list, parse_graph6, write_graph6
-from .exact import chromatic_number
+from .exact import pattern_chi
 from .classify import (
     decomposition_family,
     has_forest_in_decomposition_family,
@@ -170,7 +170,7 @@ def _opt(witness) -> Optional[dict]:
 
 def _cmd_classify(args, budget) -> dict:
     h = _load_graph(args)
-    chi = chromatic_number(h, budget)
+    chi = pattern_chi(h, budget)
     cloud = is_cloud_forest(h, budget)
     thunder = is_thundercloud_forest(h, budget)
     near = is_near_acyclic(h, budget)

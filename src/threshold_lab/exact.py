@@ -119,28 +119,6 @@ def colouring_with(g: Graph, k: int, budget=None) -> Optional[list[int]]:
     return _colourable(g, k, order, budget)
 
 
-# -- independent sets ---------------------------------------------------------
-
-
-def independent_set_masks(g: Graph) -> list[int]:
-    """All independent sets as bitmasks, ordered by (popcount, value)."""
-    out = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            start = mask.bit_length()
-            for v in range(start, g.n):
-                if g.adj[v] & mask:
-                    continue
-                m2 = mask | 1 << v
-                nxt.append(m2)
-        nxt.sort()
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 # -- subset-lattice tables -------------------------------------------------------
 
 
@@ -167,7 +145,8 @@ class _SubsetTables:
 
     ``indep[S]`` and ``forest[S]`` say whether ``g[S]`` is independent and
     whether it is a forest; ``indep_by_size`` lists the independent masks by
-    (popcount, value). Both tables come from smaller masks. With ``v`` the
+    (popcount, value), collected in the same ascending pass and then sorted
+    stably by popcount. Both tables come from smaller masks. With ``v`` the
     lowest vertex of ``S`` and ``R = S - v``: ``S`` is independent iff ``R``
     is and ``v`` has no neighbour in ``R``; a forest keeps a vertex of degree
     at most 1 and stays a forest without it, while a graph of minimum degree
@@ -186,12 +165,15 @@ class _SubsetTables:
         indep = bytearray(size)
         forest = bytearray(size)
         indep[0] = forest[0] = 1
+        indep_by_size = [0]
         for s in range(1, size):
             low = s & -s
             r = s ^ low
             nv = adj[low.bit_length() - 1] & r
             if not nv & (nv - 1):  # deg(v) <= 1
-                indep[s] = indep[r] and not nv
+                if indep[r] and not nv:
+                    indep[s] = 1
+                    indep_by_size.append(s)
                 forest[s] = forest[r]
                 continue
             for u in bits(r):
@@ -202,7 +184,8 @@ class _SubsetTables:
         self.adj = adj
         self.indep = indep
         self.forest = forest
-        self.indep_by_size = independent_set_masks(g)
+        indep_by_size.sort(key=int.bit_count)
+        self.indep_by_size = indep_by_size
         self._chi = None
 
     def bipartite(self, s: int) -> bool:
@@ -282,19 +265,36 @@ class _SubsetTables:
         return self._chi
 
 
+def _facts(g: Graph) -> dict:
+    """The record of per-pattern facts of this ``Graph`` instance, made
+    empty on first use and never shared with another instance. It holds
+    ``"chi"`` and ``"tables"``, each added on first request and only once
+    complete, so a budget that runs out leaves nothing half built."""
+    if "_facts" not in g.__dict__:
+        object.__setattr__(g, "_facts", {})
+    return g._facts
+
+
+def pattern_chi(g: Graph, budget=None) -> int:
+    """chi(g) from the record of ``g``: ``chromatic_number`` runs on the
+    first request only, and the recognisers of one pattern share it."""
+    facts = _facts(g)
+    if "chi" not in facts:
+        facts["chi"] = chromatic_number(g, budget)
+    return facts["chi"]
+
+
 def subset_tables(g: Graph, budget=None) -> _SubsetTables:
-    """The subset tables of ``g``, built on first use and kept on ``g``, so
+    """The subset tables of ``g`` from its record, built on first use, so
     that the scans of one pattern share them.
 
-    Building them spends one unit of ``budget`` per mask, up front, so a
-    budget that runs out leaves nothing half built behind.
+    Building them spends one unit of ``budget`` per mask, up front.
     """
-    tables = g.__dict__.get("_subset_tables")
-    if tables is None:
+    facts = _facts(g)
+    if "tables" not in facts:
         as_budget(budget, "subset_tables").spend(1 << g.n)
-        tables = _SubsetTables(g)
-        object.__setattr__(g, "_subset_tables", tables)
-    return tables
+        facts["tables"] = _SubsetTables(g)
+    return facts["tables"]
 
 
 # -- 2-density ---------------------------------------------------------------

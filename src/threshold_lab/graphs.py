@@ -188,11 +188,9 @@ class Graph:
         return self.n <= 1 or len(self.components()) == 1
 
     def is_forest(self) -> bool:
-        """True iff the graph is acyclic."""
-        return all(
-            self.induced(comp).edge_count() == len(comp) - 1
-            for comp in self.components()
-        )
+        """True iff the graph is acyclic: a forest has one edge fewer than
+        vertices in each component."""
+        return self.edge_count() == self.n - len(self.components())
 
     def is_independent(self, mask: int) -> bool:
         rest = mask

@@ -422,7 +422,8 @@ def _extend_clique(g: Graph, verts: list[int], k: int, budget,
     budget.spend()
     if len(chosen) == k:
         return tuple(chosen)
-    for i in range(start, len(verts)):
+    # stop where too few vertices are left to finish the clique
+    for i in range(start, len(verts) - (k - len(chosen)) + 1):
         v = verts[i]
         if all(g.has_edge(v, c) for c in chosen):
             chosen.append(v)

@@ -18,8 +18,8 @@ from .classify import (
     is_r_near_acyclic,
     is_thundercloud_forest,
 )
-from .exact import canonical_form, chromatic_number, two_density
-from .graphs import Graph, bits, is_bipartite
+from .exact import canonical_form, pattern_chi, two_density
+from .graphs import Graph, bits
 
 
 # -- threshold values ----------------------------------------------------------
@@ -174,7 +174,7 @@ def chromatic_threshold(h: Graph, budget=None) -> tuple[ThresholdValue, dict]:
     budget = as_budget(budget, "chromatic_threshold")
     if h.edge_count() == 0:
         raise DomainError("chromatic threshold needs at least one edge")
-    r = chromatic_number(h, budget)
+    r = pattern_chi(h, budget)
     if r == 2:
         return ThresholdValue.exact(0), {"case": "bipartite"}
     near = is_r_near_acyclic(h, r, budget)
@@ -282,17 +282,9 @@ def chromatic_threshold_star(h: Graph, budget=None) -> tuple[ThresholdValue, dic
 # -- regime tables ----------------------------------------------------------------
 
 
-def _is_odd_cycle_at_least_7(h: Graph) -> bool:
-    return (
-        h.n >= 7
-        and h.n % 2 == 1
-        and h.is_connected()
-        and all(h.degree(v) == 2 for v in range(h.n))
-    )
-
-
-def _is_c5(h: Graph) -> bool:
-    return h.n == 5 and h.is_connected() and all(h.degree(v) == 2 for v in range(5))
+def _is_cycle(h: Graph) -> bool:
+    """Connected and 2-regular; with chi 3, an odd cycle."""
+    return h.is_connected() and all(h.degree(v) == 2 for v in range(h.n))
 
 
 SRC_CONSTANT = "constant-p threshold equals the classical chromatic threshold"
@@ -319,15 +311,14 @@ def regime_table(h: Graph, budget=None) -> RegimeTable:
         raise DomainError("regime table needs at least one edge")
     delta, _ = chromatic_threshold(h, budget)
     rows = [RegimeRow(_b("Constant"), _b("Constant"), delta, SRC_CONSTANT)]
-
-    if is_bipartite(h) is not None:
+    r = pattern_chi(h, budget)
+    if r == 2:
         rows.append(RegimeRow(_b("Constant", side="open-below"), _b("LogOverN", side="open-above"),
                               ThresholdValue.exact(0), SRC_BIPARTITE))
         rows.append(RegimeRow(_b("LogOverN", side="open-below"), None,
                               ThresholdValue.exact(0), SRC_TRIVIAL_SPARSE))
         return RegimeTable(tuple(rows))
 
-    r = chromatic_number(h, budget)
     m2 = two_density(h, budget)
 
     if r >= 4:
@@ -364,7 +355,8 @@ def regime_table(h: Graph, budget=None) -> RegimeTable:
         return RegimeTable(tuple(rows))
 
     # r == 3
-    if _is_c5(h):
+    cycle = _is_cycle(h)
+    if cycle and h.n == 5:
         rows.append(RegimeRow(_b("Constant", side="open-below"),
                               _b("PowerOfN", Fraction(1, 2), side="open-above"),
                               ThresholdValue.exact(Fraction(1, 3)), SRC_C5_DISPLAY))
@@ -378,7 +370,7 @@ def regime_table(h: Graph, budget=None) -> RegimeTable:
                               ThresholdValue.exact(0), SRC_TRIVIAL_SPARSE))
         return RegimeTable(tuple(rows))
 
-    if _is_odd_cycle_at_least_7(h):
+    if cycle and h.n >= 7:
         dense_value = ThresholdValue.exact(0)
         dense_src = SRC_ODD_CYCLE
     elif is_cloud_forest(h, budget) is None:

@@ -232,7 +232,7 @@ def test_default_budget_is_shared_by_the_whole_verb(capsys, monkeypatch):
                 spent.append(budget.used - before)
         return call
 
-    for name in ("chromatic_number", "is_cloud_forest", "is_thundercloud_forest",
+    for name in ("pattern_chi", "is_cloud_forest", "is_thundercloud_forest",
                  "is_near_acyclic", "has_forest_in_decomposition_family",
                  "is_r_near_acyclic", "decomposition_family"):
         monkeypatch.setattr(cli, name, metered(getattr(cli, name)))
@@ -247,6 +247,23 @@ def test_default_budget_is_shared_by_the_whole_verb(capsys, monkeypatch):
         assert f"classify: search budget of {limit} nodes exceeded" in err
     monkeypatch.setattr("threshold_lab.errors.DEFAULT_BUDGET", sum(spent))
     run_json(capsys, "classify", "--graph6", code)
+
+
+# C5 blown up by 2 (chi 3) and the wheel on 8 vertices (chi 4)
+@pytest.mark.parametrize("code,n", [("I]KoWZBoo", 10), ("GhCKN{", 8)])
+@pytest.mark.parametrize("verb", ["classify", "threshold", "regimes"])
+def test_one_chromatic_number_per_verb(capsys, monkeypatch, verb, code, n):
+    exact = sys.modules["threshold_lab.exact"]
+    right = exact.chromatic_number
+    calls = []
+
+    def counted(g, budget=None):
+        calls.append(g.n)
+        return right(g, budget)
+
+    monkeypatch.setattr(exact, "chromatic_number", counted)
+    run_json(capsys, verb, "--graph6", code)
+    assert calls == [n]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -16,7 +16,7 @@ from threshold_lab.exact import (
     contains_subgraph,
     count_bicliques,
     embed_forest,
-    independent_set_masks,
+    subset_tables,
     two_density,
 )
 from threshold_lab.graphs import Graph
@@ -111,7 +111,7 @@ def test_budget_exceeded():
 
 
 def test_independent_sets_order_and_content():
-    masks = independent_set_masks(Graph.cycle(4))
+    masks = subset_tables(Graph.cycle(4)).indep_by_size
     assert masks == [0, 0b1, 0b10, 0b100, 0b1000, 0b101, 0b1010]
     sets = list(oracle_independent_sets(Graph.cycle(4)))
     assert sets == [(), (0,), (1,), (2,), (3,), (0, 2), (1, 3)]
@@ -120,7 +120,7 @@ def test_independent_sets_order_and_content():
 def test_independent_masks_match_sets():
     for seed in range(10):
         g = sample_gnp(GnpParams(7, "0.4", seed))
-        masks = independent_set_masks(g)
+        masks = subset_tables(g).indep_by_size
         from_sets = sorted(
             (sum(1 << v for v in s) for s in oracle_independent_sets(g)),
             key=lambda m: (m.bit_count(), m),

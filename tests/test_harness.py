@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threshold_lab.constructions import TemplateGraph, blow_up, make_template
-from threshold_lab.errors import BudgetExceededError, DomainError, as_budget
+from threshold_lab.errors import Budget, BudgetExceededError, DomainError, as_budget
 from threshold_lab.graphs import Graph
 from threshold_lab.harness import (
     ExperimentReport,
@@ -305,6 +305,21 @@ def test_embed_template_p0_no_clique():
     tpl = make_template(Graph.complete(3), 12, 3)
     rec = embed_template(tpl, GnpParams(12, 0, 1), Fraction(1, 10))
     assert not rec["clique_found"] and rec["min_degree"] is None
+
+
+def test_find_clique_stops_where_too_few_vertices_remain():
+    # trial 0 of `experiment --n 60 --p 9/10 --k 30`: no 30-clique among the
+    # 32 initial vertices, which a level-by-level bound shows in 45 nodes
+    sample = sample_gnp(GnpParams(60, Fraction(9, 10), derive_trial_seed(0, 0)))
+    assert _find_clique(sample, range(32), 30, Budget(10_000)) is None
+
+
+@given(st.integers(0, 12), st.integers(0, 5), st.integers(0, 2**64 - 1))
+def test_find_clique_is_the_lex_first_clique(n, k, seed):
+    g = sample_gnp(GnpParams(n, Fraction(3, 4), seed))
+    first = next((c for c in combinations(range(n), k)
+                  if all(g.has_edge(u, v) for u, v in combinations(c, 2))), None)
+    assert _find_clique(g, range(n), k, Budget()) == first
 
 
 def oracle_embed_template(template, params, gamma, budget):

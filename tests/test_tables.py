@@ -16,9 +16,9 @@ from threshold_lab.classify import (
     is_thundercloud_forest,
 )
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
-from threshold_lab.exact import chromatic_number, masks_by_size, subset_tables
+from threshold_lab.exact import chromatic_number, masks_by_size, pattern_chi, subset_tables
 from threshold_lab.graphs import Graph, is_bipartite
-from threshold_lab.thresholds import chromatic_threshold
+from threshold_lab.thresholds import chromatic_threshold, chromatic_threshold_star
 
 
 def gnp(n: int, percent: int, seed: int) -> Graph:
@@ -60,7 +60,7 @@ def test_budget_too_small_for_tables_leaves_none_behind():
     g = Graph.cycle(7)
     with pytest.raises(BudgetExceededError):
         subset_tables(g, Budget((1 << 7) - 1))
-    assert "_subset_tables" not in g.__dict__
+    assert "tables" not in g._facts
     assert subset_tables(g).chi_table()[(1 << 7) - 1] == 3
 
 
@@ -77,6 +77,20 @@ def test_chi_table_charges_its_search_and_is_kept_only_when_complete():
     assert tables.chi_table() == chi
 
 
+def test_chi_is_computed_once_and_kept_only_when_complete():
+    wheel = Graph.from_edges(8, [(v, 7) for v in range(7)]
+                             + [(v, (v + 1) % 7) for v in range(7)])
+    with pytest.raises(BudgetExceededError):
+        is_near_acyclic(wheel, Budget(2))  # runs out inside chi
+    assert "chi" not in wheel._facts
+    budget = Budget()
+    assert pattern_chi(wheel, budget) == 4 and budget.used > 0
+    spent = budget.used
+    assert is_near_acyclic(wheel, budget) is None and budget.used == spent
+    assert "tables" not in wheel._facts  # chi alone builds no tables
+    assert "_facts" not in Graph(wheel.n, wheel.adj).__dict__
+
+
 SCANS = {
     "is_cloud_forest": is_cloud_forest,
     "is_thundercloud_forest": is_thundercloud_forest,
@@ -86,7 +100,9 @@ SCANS = {
     "has_forest_in_decomposition_family": has_forest_in_decomposition_family,
     "decomposition_family": decomposition_family,
     "chromatic_threshold": chromatic_threshold,
+    "chromatic_threshold_star": chromatic_threshold_star,
 }
+MAX_N = {"chromatic_threshold_star": 6}  # beyond it, quotients cost Tier-1 time
 
 
 def outcome(scan, h: Graph, budget):
@@ -101,6 +117,8 @@ def outcome(scan, h: Graph, budget):
 def test_tiny_budget_never_changes_an_answer(n, percent, seed, limit):
     h = gnp(n, percent, seed)
     for name, scan in SCANS.items():
+        if n > MAX_N.get(name, n):
+            continue
         expected = outcome(scan, Graph(h.n, h.adj), None)
         # a fresh instance, so the budget also pays for building the tables
         try:
