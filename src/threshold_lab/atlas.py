@@ -47,6 +47,32 @@ def _mask_orbit_leaders(g: Graph) -> list[int]:
     return leaders
 
 
+def _pair_orbit_leaders(n: int, adj, gens) -> list[tuple[int, int]]:
+    """The least non-adjacent pair ``(i, j)``, ``i < j``, of each orbit of
+    the group generated by ``gens`` on the non-edges of the graph ``adj``,
+    ascending. Each generator maps a pair to the pair of its images."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
+    if not gens:
+        return pairs
+    seen = set()
+    leaders = []
+    for pair in pairs:
+        if pair in seen:
+            continue
+        leaders.append(pair)
+        seen.add(pair)
+        stack = [pair]
+        while stack:
+            i, j = stack.pop()
+            for perm in gens:
+                a, b = perm[i], perm[j]
+                image = (a, b) if a < b else (b, a)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return leaders
+
+
 def atlas_level(reps: list[Graph]) -> list[Graph]:
     """All (k+1)-vertex graphs, given the k-vertex representatives."""
     seen: dict[bytes, None] = {}

@@ -90,7 +90,10 @@ def _colourable(g: Graph, k: int, order: list[int], budget) -> Optional[list[int
             colour[v] = -1
         return False
 
-    return colour if rec(0, 0) else None
+    try:
+        return colour if rec(0, 0) else None
+    finally:
+        rec = None  # ``rec`` reaches itself through its cell: cut that cycle
 
 
 def chromatic_number(g: Graph, budget=None) -> int:
@@ -374,9 +377,11 @@ def contains_subgraph(host: Graph, pattern: Graph, budget=None) -> Optional[Embe
             image[v] = -1
         return False
 
-    if rec(0):
-        return Embedding(tuple(image))
-    return None
+    try:
+        found = rec(0)
+    finally:
+        rec = None  # ``rec`` reaches itself through its cell: cut that cycle
+    return Embedding(tuple(image)) if found else None
 
 
 # -- biclique counting ---------------------------------------------------------

@@ -18,7 +18,9 @@ from .classify import (
     is_r_near_acyclic,
     is_thundercloud_forest,
 )
-from .exact import canonical_form, pattern_chi, two_density
+from .atlas import _pair_orbit_leaders
+from .exact import _min_code, canonical_form, pattern_chi, two_density
+from .formats import pack_graph6
 from .graphs import Graph, bits
 
 
@@ -202,80 +204,164 @@ def chromatic_threshold(h: Graph, budget=None) -> tuple[ThresholdValue, dict]:
 QUOTIENT_VERTEX_CAP = 12
 
 
-def _independent_partitions(h: Graph) -> Iterator[list[int]]:
-    """Partitions of V(h) into independent classes, as class bitmasks,
-    in restricted-growth order."""
-    classes: list[int] = []
-
-    def rec(v: int):
-        if v == h.n:
-            yield classes[:]
-            return
-        for i in range(len(classes)):
-            if not classes[i] & h.adj[v]:
-                classes[i] |= 1 << v
-                yield from rec(v + 1)
-                classes[i] &= ~(1 << v)
-        classes.append(1 << v)
-        yield from rec(v + 1)
-        classes.pop()
-
-    yield from rec(0)
-
-
-def _quotient(h: Graph, classes: list[int]) -> Graph:
-    k = len(classes)
-    rows = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if h.edge_count_between(classes[i], classes[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(k, tuple(rows))
+def _merge(adj, i: int, j: int) -> tuple[int, ...]:
+    """The rows of the graph ``adj`` with the non-adjacent vertex ``j`` merged
+    into ``i < j``: ``i`` takes both neighbourhoods, and the vertices above
+    ``j`` move down one place."""
+    keep = (1 << j) - 1
+    rows = []
+    for v, row in enumerate(adj):
+        if v == j:
+            continue
+        if v == i:
+            row |= adj[j]
+        elif row >> j & 1:
+            row |= 1 << i
+        rows.append(row & keep | row >> (j + 1) << j)
+    return tuple(rows)
 
 
 def quotients_with_partitions(h: Graph, budget=None
                               ) -> Iterator[tuple[Graph, list[list[int]], bytes]]:
-    """Deduplicated quotients by independent-class partitions, each with the
-    first partition (in enumeration order) realising it and its canonical
-    form. Patterns above ``QUOTIENT_VERTEX_CAP`` vertices are refused."""
+    """One quotient of ``h`` by a partition into independent classes for
+    each isomorphism class of such quotients, with a partition realising it
+    (vertex ``i`` of the quotient is class ``i``) and its canonical form.
+    Patterns above ``QUOTIENT_VERTEX_CAP`` vertices are refused.
+
+    The search runs level by level, from ``h`` down: merging two
+    non-adjacent vertices of a quotient gives a quotient with one vertex
+    fewer, because the union of two independent classes with no edge
+    between them is independent. Every partition is reached this way, by
+    merging its classes one pair at a time; and isomorphic quotients have
+    the same merges up to isomorphism, so merging one representative of
+    each class of a level, deduplicated by canonical code, reaches every
+    class of the next. Two pairs that an automorphism of the
+    representative maps onto each other give isomorphic merges, so only
+    the least pair of each orbit of ``Aut(q)`` on the non-edges is merged;
+    the generators come from the same search that gave ``q`` its code
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+
+    The partition is the one carried along the merges, not the first in
+    restricted-growth order. Each merge spends the nodes of its canonical
+    search.
+    """
     budget = as_budget(budget, "quotients_with_partitions")
     if h.n > QUOTIENT_VERTEX_CAP:
         raise SizeCapExceededError("quotients_with_partitions",
                                    QUOTIENT_VERTEX_CAP, "vertices")
-    seen: set[bytes] = set()
-    for classes in _independent_partitions(h):
-        budget.spend()
-        q = _quotient(h, classes)
-        key = canonical_form(q, budget)
-        if key in seen:
+    code, _, gens = _min_code(h.n, h.adj, budget)
+    level = [(h.adj, [1 << v for v in range(h.n)], gens)]
+    yield Graph._trusted(h.n, h.adj), [[v] for v in range(h.n)], pack_graph6(h.n, code)
+    while level:
+        seen: set[int] = set()
+        merged = []
+        for adj, classes, gens in level:
+            for i, j in _pair_orbit_leaders(len(adj), adj, gens):
+                rows = _merge(adj, i, j)
+                code, _, sub_gens = _min_code(len(rows), rows, budget)
+                if code in seen:
+                    continue
+                seen.add(code)
+                parts = classes[:j] + classes[j + 1:]
+                parts[i] = classes[i] | classes[j]
+                merged.append((rows, parts, sub_gens))
+                yield (Graph._trusted(len(rows), rows), [list(bits(c)) for c in parts],
+                       pack_graph6(len(rows), code))
+        level = merged
+
+
+def _partitions_into(h: Graph, k: int, budget) -> Iterator[list[int]]:
+    """Partitions of V(h) into exactly ``k`` independent classes, as class
+    bitmasks, in restricted-growth order, spending one node per partition.
+    Vertex ``v`` tries the classes in order, then a new one; a branch is cut
+    once too few vertices remain to reach ``k`` classes. The list yielded
+    is reused."""
+    n, adj = h.n, h.adj
+    classes: list[int] = []
+    at = [-1] * n  # the class of each placed vertex
+    v = 0
+    while v >= 0:
+        if v == n:
+            budget.spend()
+            yield classes
+            v -= 1
             continue
-        seen.add(key)
-        yield q, [list(bits(c)) for c in classes], key
+        c = at[v]
+        if c >= 0:  # back from the branch below: take v out of its class
+            if classes[c] == 1 << v:
+                classes.pop()
+            else:
+                classes[c] ^= 1 << v
+        c += 1
+        m = len(classes)
+        if m + n - 1 - v < k:  # staying at m classes cannot reach k
+            c = max(c, m)
+        while c < m and classes[c] & adj[v]:
+            c += 1
+        if c < m:
+            classes[c] |= 1 << v
+        elif c == m < k:
+            classes.append(1 << v)
+        else:
+            at[v] = -1
+            v -= 1
+            continue
+        at[v] = c
+        v += 1
+
+
+def _first_partition(h: Graph, q: Graph, canon: bytes, budget) -> list[list[int]]:
+    """The first partition of V(h) into independent classes, in
+    restricted-growth order, whose quotient has the canonical form
+    ``canon`` of ``q``. Only partitions into ``q.n`` classes can qualify,
+    and a quotient must match the degree sequence of ``q`` (and so its
+    edge count) before its canonical form is computed."""
+    k = q.n
+    degrees = sorted(row.bit_count() for row in q.adj)
+    for classes in _partitions_into(h, k, budget):
+        rows = []
+        for part in classes:
+            reach = 0
+            for v in bits(part):
+                reach |= h.adj[v]
+            rows.append(sum(1 << j for j, other in enumerate(classes) if reach & other))
+        if sorted(row.bit_count() for row in rows) == degrees \
+                and canonical_form(Graph._trusted(k, tuple(rows)), budget) == canon:
+            return [list(bits(c)) for c in classes]
+    raise AssertionError("no partition realises the quotient")
 
 
 def chromatic_threshold_star(h: Graph, budget=None) -> tuple[ThresholdValue, dict]:
     """min delta_chi over homomorphic images; quotients by independent-class
     partitions realise every relevant image.
 
-    The minimising witness is chosen deterministically: least value, then
-    fewest vertices, then least canonical form.
+    The minimum is taken over the isomorphism classes of quotients, one
+    representative each, from the merge search of
+    ``quotients_with_partitions``; isomorphic quotients have the same
+    threshold, so one representative per class is exact. The minimising
+    witness is chosen deterministically: least value, then fewest vertices,
+    then least canonical form. Its partition is the first in
+    restricted-growth order whose quotient has that canonical form. The
+    search does not carry that partition, so it is recovered afterwards:
+    the partitions into as many classes as the winner has vertices come in
+    restricted-growth order, and the first whose quotient has the winner's
+    canonical form is the one.
     """
     budget = as_budget(budget, "chromatic_threshold_star")
     if h.edge_count() == 0:
         raise DomainError("chromatic threshold needs at least one edge")
-    best = None  # (value, n, canon, graph, partition)
-    for q, partition, canon in quotients_with_partitions(h, budget):
+    best = None  # ((value, n, canon), graph)
+    for q, _, canon in quotients_with_partitions(h, budget):
         value, _ = chromatic_threshold(q, budget)
         key = (value.lo, q.n, canon)
         if best is None or key < best[0]:
-            best = (key, q, partition)
+            best = (key, q)
     assert best is not None
-    (value, _, canon), q, partition = best
+    (value, _, canon), q = best
     return ThresholdValue.exact(value), {
         "quotient_graph6": canon.decode("ascii"),
         "quotient_vertices": q.n,
-        "partition": partition,
+        "partition": _first_partition(h, q, canon, budget),
     }
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -99,6 +100,28 @@ def test_zykov_search(capsys):
                        "--max-l", "2", "--max-t", "2", "--max-tree-size", "3")
     assert payload["found"] is False
     assert payload["note"] == "not found within bounds"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--graph6", "FhCKG"],
+    ["threshold-star", "--graph6", "FhCKG"],
+    ["zykov-search", "--graph6", "DLo", "--max-l", "3", "--max-t", "7", "--max-tree-size", "7"],
+])
+def test_verbs_leave_no_reference_cycles(capsys, argv):
+    """Reference counting frees everything a verb made, so the cyclic
+    collector has nothing to do after it. The parser, built once per
+    process, is built first."""
+    cli._parser()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_sample_deterministic(capsys):

@@ -1,11 +1,13 @@
 """Exact solvers checked against brute-force oracles built from scratch."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from hypothesis import given, strategies as st
 import pytest
 
+from threshold_lab import classify, thresholds
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import (
     Embedding,
@@ -16,9 +18,14 @@ from threshold_lab.exact import (
     contains_subgraph,
     count_bicliques,
     embed_forest,
+    greedy_clique,
+    greedy_colouring,
+    masks_by_size,
+    pattern_chi,
     subset_tables,
     two_density,
 )
+from threshold_lab.formats import parse_graph6
 from threshold_lab.graphs import Graph
 from threshold_lab.harness import GnpParams, SplitMix64, sample_gnp
 
@@ -241,7 +248,58 @@ def test_canonical_form_separates():
 
 
 def test_canonical_form_is_valid_graph6():
-    from threshold_lab.formats import parse_graph6
     g = Graph.complete_multipartite([2, 3])
     rep = parse_graph6(canonical_form(g))
     assert are_isomorphic(rep, g)
+
+
+# -- reference cycles ------------------------------------------------------------------
+
+
+FHCKG = parse_graph6(b"FhCKG")
+
+# every public solver of exact, classify and thresholds, called once on a
+# fresh instance
+SOLVERS = {
+    "greedy_clique": greedy_clique,
+    "greedy_colouring": greedy_colouring,
+    "chromatic_number": chromatic_number,
+    "colouring_with": lambda g: colouring_with(g, 3),
+    "masks_by_size": lambda g: list(masks_by_size(g.n)),
+    "pattern_chi": pattern_chi,
+    "subset_tables": lambda g: subset_tables(g).chi_table(),
+    "two_density": two_density,
+    "contains_subgraph": lambda g: contains_subgraph(g, Graph.cycle(5)),
+    "count_bicliques": lambda g: count_bicliques(g, 2),
+    "embed_forest": lambda g: embed_forest(g, Graph.path(4)),
+    "canonical_form": canonical_form,
+    "are_isomorphic": lambda g: are_isomorphic(g, FHCKG),
+    "is_cloud_forest": classify.is_cloud_forest,
+    "is_thundercloud_forest": classify.is_thundercloud_forest,
+    "is_cloud_forest_alt": classify.is_cloud_forest_alt,
+    "is_near_acyclic": classify.is_near_acyclic,
+    "is_r_near_acyclic": lambda g: classify.is_r_near_acyclic(g, 3),
+    "has_forest_in_decomposition_family": classify.has_forest_in_decomposition_family,
+    "decomposition_family": classify.decomposition_family,
+    "chromatic_threshold": thresholds.chromatic_threshold,
+    "chromatic_threshold_star": thresholds.chromatic_threshold_star,
+    "quotients_with_partitions": lambda g: list(thresholds.quotients_with_partitions(g)),
+    "regime_table": thresholds.regime_table,
+    "regime_table_star": thresholds.regime_table_star,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_solvers_leave_no_reference_cycles(name):
+    """Reference counting frees everything a call made, so the cyclic
+    collector has nothing to do after it."""
+    assert chromatic_number(FHCKG) == 3
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        SOLVERS[name](Graph(FHCKG.n, FHCKG.adj))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -102,7 +102,6 @@ SCANS = {
     "chromatic_threshold": chromatic_threshold,
     "chromatic_threshold_star": chromatic_threshold_star,
 }
-MAX_N = {"chromatic_threshold_star": 6}  # beyond it, quotients cost Tier-1 time
 
 
 def outcome(scan, h: Graph, budget):
@@ -117,8 +116,6 @@ def outcome(scan, h: Graph, budget):
 def test_tiny_budget_never_changes_an_answer(n, percent, seed, limit):
     h = gnp(n, percent, seed)
     for name, scan in SCANS.items():
-        if n > MAX_N.get(name, n):
-            continue
         expected = outcome(scan, Graph(h.n, h.adj), None)
         # a fresh instance, so the budget also pays for building the tables
         try:

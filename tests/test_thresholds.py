@@ -1,18 +1,21 @@
+import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from threshold_lab.constructions import blow_up
-from threshold_lab.errors import BudgetExceededError, DomainError
+from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import are_isomorphic, canonical_form, chromatic_number
 from threshold_lab.formats import parse_graph6
-from threshold_lab.graphs import Graph
+from threshold_lab.graphs import Graph, bits
 from threshold_lab.harness import GnpParams, sample_gnp
 from threshold_lab.thresholds import (
     PBoundary,
     RegimeRow,
     RegimeTable,
     ThresholdValue,
+    _first_partition,
     chromatic_threshold,
     chromatic_threshold_star,
     quotients_with_partitions,
@@ -166,6 +169,100 @@ def test_star_at_most_plain():
         star, _ = chromatic_threshold_star(g)
         plain, _ = chromatic_threshold(g)
         assert star.lo <= plain.lo
+
+
+
+def test_star_c11_within_node_budget():
+    """The class search with orbit cuts and the capped witness recovery
+    stay far below the 1.8 M nodes that one canonical form per partition
+    took."""
+    got, witness = chromatic_threshold_star(Graph.cycle(11), Budget(300_000))
+    assert got.lo == 0
+    assert witness == {"quotient_graph6": "DLo", "quotient_vertices": 5,
+                       "partition": [[0, 2, 4, 6], [1, 3, 5, 7], [8], [9], [10]]}
+
+
+# -- the partition-by-partition oracle ------------------------------------------------
+
+
+def oracle_partitions(h: Graph):
+    """Every partition of V(h) into independent classes, as class bitmasks,
+    in restricted-growth order."""
+    classes: list[int] = []
+
+    def rec(v: int):
+        if v == h.n:
+            yield classes[:]
+            return
+        for i in range(len(classes)):
+            if not classes[i] & h.adj[v]:
+                classes[i] |= 1 << v
+                yield from rec(v + 1)
+                classes[i] &= ~(1 << v)
+        classes.append(1 << v)
+        yield from rec(v + 1)
+        classes.pop()
+
+    yield from rec(0)
+
+
+def oracle_quotient(h: Graph, classes: list[int]) -> Graph:
+    k = len(classes)
+    rows = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if h.edge_count_between(classes[i], classes[j]):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(k, tuple(rows))
+
+
+def oracle_quotients(h: Graph) -> dict:
+    """Canonical form -> (quotient, partition) for the first partition in
+    restricted-growth order of each isomorphism class of quotients."""
+    found: dict = {}
+    for classes in oracle_partitions(h):
+        q = oracle_quotient(h, classes)
+        found.setdefault(canonical_form(q), (q, [list(bits(c)) for c in classes]))
+    return found
+
+
+def oracle_star(h: Graph):
+    """delta* and its witness from every quotient, by the same key."""
+    (value, n, canon), partition = min(
+        ((chromatic_threshold(q)[0].lo, q.n, canon), partition)
+        for canon, (q, partition) in oracle_quotients(h).items())
+    return value, {"quotient_graph6": canon.decode("ascii"), "quotient_vertices": n,
+                   "partition": partition}
+
+
+def assert_matches_oracle(h: Graph):
+    canons = [canon for _, _, canon in quotients_with_partitions(h)]
+    assert len(canons) == len(set(canons))  # each class once
+    found = oracle_quotients(h)
+    assert set(canons) == set(found)
+    for canon, (q, partition) in found.items():  # the recovery, for every class
+        assert _first_partition(h, q, canon, Budget()) == partition
+    if h.edge_count():
+        value, witness = chromatic_threshold_star(h)
+        assert (value.lo, witness) == oracle_star(h)
+
+
+@settings(max_examples=50)  # a sparse 9-vertex example costs the oracle up to 1 s
+@given(st.integers(1, 9), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_class_search_matches_oracle(n, percent, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if rng.randrange(100) < percent])
+    assert_matches_oracle(g.relabel(rng.sample(range(n), n)))
+
+
+@pytest.mark.parametrize("h", [Graph.cycle(7), Graph.cycle(9),
+                               Graph.complete_multipartite([3, 3, 3]),
+                               blow_up(Graph.cycle(5), 2)],
+                         ids=["C7", "C9", "K333", "C5x2"])
+def test_class_search_matches_oracle_on_symmetric_patterns(h):
+    assert_matches_oracle(h)
 
 
 # -- regime tables ---------------------------------------------------------------------
