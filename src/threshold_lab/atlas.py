@@ -1,12 +1,15 @@
-"""Small-graph atlas: all graphs up to isomorphism, by vertex extension.
+"""Isomorph-free generation: the small-graph atlas, the tree list and the
+merge pairs of the quotient search.
 
 Every (k+1)-vertex graph arises from a k-vertex graph by adding one vertex
 with some neighbourhood, so extending canonical representatives and
 deduplicating by canonical form enumerates each isomorphism class once.
-Two neighbourhoods that an automorphism of the representative maps onto
-each other give isomorphic extensions, so only the least neighbourhood of
-each orbit of ``Aut(g)`` on the ``2^k`` masks is extended (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+Every (k+1)-vertex tree arises in the same way from a k-vertex tree, with a
+neighbourhood of one vertex. Two neighbourhoods that an automorphism of the
+representative maps onto each other give isomorphic extensions, so only the
+least neighbourhood of each orbit of ``Aut(g)`` is extended (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998). The quotient
+search of ``thresholds`` takes its merge pairs from the same orbit walk.
 """
 
 from __future__ import annotations
@@ -19,69 +22,61 @@ from .formats import parse_graph6
 from .graphs import Graph
 
 
-def _mask_orbit_leaders(g: Graph) -> list[int]:
-    """The least mask of each orbit of ``Aut(g)`` on the vertex masks of
-    ``g``, ascending. Each generator acts on masks as a bit permutation."""
-    size = 1 << g.n
-    images = []
-    for perm in _min_code(g.n, g.adj, as_budget(None, "atlas_level"))[2]:
-        image = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-        images.append(image)
-    seen = bytearray(size)
-    leaders = []
-    for mask in range(size):
-        if seen[mask]:
-            continue
-        leaders.append(mask)
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            m = stack.pop()
-            for image in images:
-                if not seen[image[m]]:
-                    seen[image[m]] = 1
-                    stack.append(image[m])
-    return leaders
-
-
-def _pair_orbit_leaders(n: int, adj, gens) -> list[tuple[int, int]]:
-    """The least non-adjacent pair ``(i, j)``, ``i < j``, of each orbit of
-    the group generated by ``gens`` on the non-edges of the graph ``adj``,
-    ascending. Each generator maps a pair to the pair of its images."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
+def _orbit_leaders(items, gens, image) -> list:
+    """The least item of each orbit of the group that ``gens`` generates,
+    ascending. ``items`` must be ascending and closed under the group, and
+    ``image(perm, item)`` is the image of ``item`` under the generator
+    ``perm``. The walk keeps a set of the items seen, not a table over
+    every possible item, so its memory grows with ``items`` alone."""
     if not gens:
-        return pairs
+        return list(items)
     seen = set()
     leaders = []
-    for pair in pairs:
-        if pair in seen:
+    for item in items:
+        if item in seen:
             continue
-        leaders.append(pair)
-        seen.add(pair)
-        stack = [pair]
+        leaders.append(item)
+        seen.add(item)
+        stack = [item]
         while stack:
-            i, j = stack.pop()
+            x = stack.pop()
             for perm in gens:
-                a, b = perm[i], perm[j]
-                image = (a, b) if a < b else (b, a)
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
+                y = image(perm, x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
     return leaders
+
+
+def _mask_image(perm, mask: int) -> int:
+    """The vertex mask that ``perm`` maps ``mask`` onto."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _extend(reps: list[Graph], leaves: bool) -> list[Graph]:
+    """One canonically labelled representative of each class of graphs that
+    adding a vertex to a graph of ``reps`` gives, sorted by canonical form.
+    The new vertex takes every neighbourhood, or with ``leaves`` a single
+    neighbour, one per orbit of ``Aut(g)``."""
+    seen: dict[bytes, None] = {}
+    for g in reps:
+        k = g.n
+        gens = _min_code(k, g.adj, as_budget(None, "atlas_level"))[2]
+        masks = [1 << v for v in range(k)] if leaves else range(1 << k)
+        for nbrs in _orbit_leaders(masks, gens, _mask_image):
+            rows = tuple([row | (nbrs >> v & 1) << k for v, row in enumerate(g.adj)])
+            seen.setdefault(canonical_form(Graph._trusted(k + 1, rows + (nbrs,))), None)
+    return [parse_graph6(code) for code in sorted(seen)]
 
 
 def atlas_level(reps: list[Graph]) -> list[Graph]:
     """All (k+1)-vertex graphs, given the k-vertex representatives."""
-    seen: dict[bytes, None] = {}
-    for g in reps:
-        k = g.n
-        for nbrs in _mask_orbit_leaders(g):
-            rows = tuple([row | (nbrs >> v & 1) << k for v, row in enumerate(g.adj)])
-            seen.setdefault(canonical_form(Graph._trusted(k + 1, rows + (nbrs,))), None)
-    return [parse_graph6(code) for code in sorted(seen)]
+    return _extend(reps, leaves=False)
 
 
 def atlas(max_n: int) -> Iterator[Graph]:

@@ -13,8 +13,8 @@ from itertools import combinations_with_replacement, product
 from typing import Iterator, Optional
 
 from .errors import DomainError, SizeCapExceededError, as_budget
+from .atlas import _extend
 from .exact import Embedding, canonical_form, chromatic_number, contains_subgraph
-from .formats import parse_graph6
 from .graphs import Graph, is_bipartite
 
 ZYKOV_L_CAP = 10
@@ -180,20 +180,17 @@ def verify_zykov_containment(h: Graph, spec: ZykovSpec, budget=None) -> Optional
 
 
 def all_trees(max_n: int) -> list[list[Graph]]:
-    """trees[k] = all k-vertex trees up to isomorphism, canonically labeled.
+    """trees[k] = all k-vertex trees up to isomorphism, canonically labeled,
+    sorted by canonical form.
 
     Every (k+1)-vertex tree arises by attaching a leaf to a k-vertex tree.
+    Leaves attached to two vertices in one ``Aut``-orbit of the tree give
+    isomorphic trees, so the atlas's extension step attaches one leaf per
+    orbit.
     """
     levels: list[list[Graph]] = [[], [Graph.empty(1)]]
     for k in range(1, max_n):
-        seen: dict[bytes, None] = {}
-        for tree in levels[k]:
-            for v in range(k):
-                rows = list(tree.adj)
-                rows[v] |= 1 << k
-                rows.append(1 << v)
-                seen.setdefault(canonical_form(Graph(k + 1, tuple(rows))), None)
-        levels.append([parse_graph6(code) for code in sorted(seen)])
+        levels.append(_extend(levels[k], leaves=True))
     return levels[: max_n + 1]
 
 
@@ -203,13 +200,13 @@ def _orientations(tree: Graph) -> list[tuple[int, ...]]:
     return [a] if not b else [a, b]
 
 
-def _spec_stream(r: int, max_l: int, max_t: int, max_tree_size: int
+def _spec_stream(r: int, max_l: int, max_t: int, levels: list[list[Graph]]
                  ) -> Iterator[ZykovSpec]:
     """Specs ordered by (total tree vertices, l, tree codes), both
-    orientations per tree, then t ascending within a shape."""
-    levels = all_trees(max_tree_size)
+    orientations per tree, then t ascending within a shape. ``levels`` is
+    ``all_trees(max_tree_size)``, whose trees come in that order already:
+    by size, then by canonical form, and each is its own canonical form."""
     flat = [tree for level in levels for tree in level]
-    flat.sort(key=lambda tr: (tr.n, canonical_form(tr)))
     shapes = []
     for ell in range(1, max_l + 1):
         for combo in combinations_with_replacement(range(len(flat)), ell):
@@ -222,7 +219,7 @@ def _spec_stream(r: int, max_l: int, max_t: int, max_tree_size: int
                 yield ZykovSpec(trees, r, t, tuple(sides))
 
 
-def _maximal_hosts(r: int, max_l: int, max_t: int, max_tree_size: int) -> list[Graph]:
+def _maximal_hosts(r: int, max_l: int, max_t: int, big: list[Graph]) -> list[Graph]:
     """Zykov graphs that contain every spec graph within the bounds.
 
     Containment is monotone: raising t or l, or growing a tree (every tree
@@ -230,9 +227,9 @@ def _maximal_hosts(r: int, max_l: int, max_t: int, max_tree_size: int) -> list[G
     only adds vertices and edges; and swapping a tree's orientation gives an
     isomorphic graph (relabel each connector class S_I to S_{I xor {j}}).
     So the graphs built from every multiset of max_l maximum-size trees at
-    t = max_t dominate the whole search space.
+    t = max_t dominate the whole search space. ``big`` lists the trees on
+    max_tree_size vertices.
     """
-    big = all_trees(max_tree_size)[max_tree_size]
     hosts = []
     for combo in combinations_with_replacement(big, max_l):
         hosts.append(zykov(ZykovSpec(tuple(combo), r, max_t)).graph)
@@ -257,12 +254,13 @@ def search_zykov_witness(h: Graph, max_l: int, max_t: int, max_tree_size: int,
         h.adj[u] & h.adj[v] for u, v in h.edges()
     ):
         return None  # triangles never embed: r=3 spec graphs are triangle-free
+    levels = all_trees(max_tree_size)
     if all(
         contains_subgraph(host, h, budget) is None
-        for host in _maximal_hosts(r, max_l, max_t, max_tree_size)
+        for host in _maximal_hosts(r, max_l, max_t, levels[max_tree_size])
     ):
         return None
-    for spec in _spec_stream(r, max_l, max_t, max_tree_size):
+    for spec in _spec_stream(r, max_l, max_t, levels):
         budget.spend()
         emb = verify_zykov_containment(h, spec, budget)
         if emb is not None:
@@ -271,6 +269,9 @@ def search_zykov_witness(h: Graph, max_l: int, max_t: int, max_tree_size: int,
 
 
 # -- template with planted core -----------------------------------------------------
+
+
+_FILLER_PARTS = 3
 
 
 @dataclass(frozen=True)
@@ -289,10 +290,11 @@ class TemplateGraph:
             raise DomainError("no X-Y edges and no edges inside Y allowed")
 
 
-def make_template(core: Graph, n: int, k: int, filler_parts: int = 3) -> TemplateGraph:
+def make_template(core: Graph, n: int, k: int) -> TemplateGraph:
     """n-vertex graph: X (first k vertices) induces the core, Y (next
     floor(n/k) vertices) is independent with no edges to X, and the rest is
-    complete multipartite, fully joined to both X and Y.
+    complete multipartite with ``_FILLER_PARTS`` near-equal parts, fully
+    joined to both X and Y.
 
     The filler join keeps the minimum degree high, which is what the planted
     core is for.
@@ -309,8 +311,8 @@ def make_template(core: Graph, n: int, k: int, filler_parts: int = 3) -> Templat
     initial = (1 << r_base) - 1
     filler = ((1 << n) - 1) & ~initial
     rows = [row | filler for row in core.adj] + [filler] * y_size
-    for i in range(filler_parts):
-        size = rest // filler_parts + (1 if i < rest % filler_parts else 0)
+    for i in range(_FILLER_PARTS):
+        size = rest // _FILLER_PARTS + (1 if i < rest % _FILLER_PARTS else 0)
         part = ((1 << size) - 1) << len(rows)
         rows += [initial | filler & ~part] * size
     return TemplateGraph(

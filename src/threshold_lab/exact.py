@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, as_budget
 from .formats import pack_graph6
-from .graphs import Graph, bits
+from .graphs import Graph, _two_colouring, bits
 
 
 @dataclass(frozen=True)
@@ -193,30 +193,10 @@ class _SubsetTables:
 
     def bipartite(self, s: int) -> bool:
         """Whether ``g[s]`` is 2-colourable: read the chi table if a scan has
-        built it, else layer each component breadth first and look for an
-        edge inside one parity class."""
+        built it, else 2-colour it."""
         if self._chi is not None:
             return self._chi[s] <= 2
-        adj = self.adj
-        while s:
-            frontier = s & -s
-            sides = [frontier, 0]
-            side = 0
-            while frontier:
-                reach = 0
-                rest = frontier
-                while rest:
-                    low = rest & -rest
-                    reach |= adj[low.bit_length() - 1]
-                    rest ^= low
-                reach &= s
-                if reach & sides[side]:
-                    return False
-                side ^= 1
-                frontier = reach & ~sides[side]
-                sides[side] |= frontier
-            s &= ~(sides[0] | sides[1])
-        return True
+        return _two_colouring(self.adj, s) is not None
 
     def colourable(self, s: int, k: int, budget=None) -> bool:
         """Whether chi(g[s]) <= k."""

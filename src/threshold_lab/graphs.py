@@ -201,23 +201,41 @@ class Graph:
         return True
 
 
+def _two_colouring(adj, s: int) -> Optional[tuple[int, int]]:
+    """The two sides of a 2-colouring of the subgraph that the vertex mask
+    ``s`` induces in the rows ``adj``, as masks with the least vertex of
+    each component on side 0, or ``None`` if there is none. Each component
+    is layered breadth first from its least vertex, and an edge inside one
+    parity class closes an odd cycle."""
+    even = odd = 0
+    while s:
+        frontier = s & -s
+        sides = [frontier, 0]
+        side = 0
+        while frontier:
+            reach = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                reach |= adj[low.bit_length() - 1]
+                rest ^= low
+            reach &= s
+            if reach & sides[side]:
+                return None
+            side ^= 1
+            frontier = reach & ~sides[side]
+            sides[side] |= frontier
+        even |= sides[0]
+        odd |= sides[1]
+        s &= ~(sides[0] | sides[1])
+    return even, odd
+
+
 def is_bipartite(g: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """Return a two-part vertex partition if one exists, ``None`` otherwise."""
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] >= 0:
-            continue
-        colour[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in bits(g.adj[v]):
-                if colour[u] < 0:
-                    colour[u] = colour[v] ^ 1
-                    queue.append(u)
-                elif colour[u] == colour[v]:
-                    return None
-    return (
-        [v for v in range(g.n) if colour[v] == 0],
-        [v for v in range(g.n) if colour[v] == 1],
-    )
+    """Return a two-part vertex partition if one exists, ``None`` otherwise.
+    Each part is sorted, and the least vertex of each component is in the
+    first."""
+    sides = _two_colouring(g.adj, (1 << g.n) - 1)
+    if sides is None:
+        return None
+    return list(bits(sides[0])), list(bits(sides[1]))

@@ -18,7 +18,7 @@ from .classify import (
     is_r_near_acyclic,
     is_thundercloud_forest,
 )
-from .atlas import _pair_orbit_leaders
+from .atlas import _orbit_leaders
 from .exact import _min_code, canonical_form, pattern_chi, two_density
 from .formats import pack_graph6
 from .graphs import Graph, bits
@@ -221,6 +221,12 @@ def _merge(adj, i: int, j: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _pair_image(perm, pair: tuple[int, int]) -> tuple[int, int]:
+    """The pair ``(a, b)``, ``a < b``, that ``perm`` maps ``pair`` onto."""
+    a, b = perm[pair[0]], perm[pair[1]]
+    return (a, b) if a < b else (b, a)
+
+
 def quotients_with_partitions(h: Graph, budget=None
                               ) -> Iterator[tuple[Graph, list[list[int]], bytes]]:
     """One quotient of ``h`` by a partition into independent classes for
@@ -256,7 +262,9 @@ def quotients_with_partitions(h: Graph, budget=None
         seen: set[int] = set()
         merged = []
         for adj, classes, gens in level:
-            for i, j in _pair_orbit_leaders(len(adj), adj, gens):
+            n = len(adj)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
+            for i, j in _orbit_leaders(pairs, gens, _pair_image):
                 rows = _merge(adj, i, j)
                 code, _, sub_gens = _min_code(len(rows), rows, budget)
                 if code in seen:
@@ -270,44 +278,29 @@ def quotients_with_partitions(h: Graph, budget=None
         level = merged
 
 
-def _partitions_into(h: Graph, k: int, budget) -> Iterator[list[int]]:
+def _partitions_into(h: Graph, k: int, budget, classes: list[int], v: int = 0
+                     ) -> Iterator[list[int]]:
     """Partitions of V(h) into exactly ``k`` independent classes, as class
     bitmasks, in restricted-growth order, spending one node per partition.
-    Vertex ``v`` tries the classes in order, then a new one; a branch is cut
-    once too few vertices remain to reach ``k`` classes. The list yielded
-    is reused."""
-    n, adj = h.n, h.adj
-    classes: list[int] = []
-    at = [-1] * n  # the class of each placed vertex
-    v = 0
-    while v >= 0:
-        if v == n:
-            budget.spend()
-            yield classes
-            v -= 1
-            continue
-        c = at[v]
-        if c >= 0:  # back from the branch below: take v out of its class
-            if classes[c] == 1 << v:
-                classes.pop()
-            else:
+    ``classes`` holds the classes of the vertices below ``v``, and vertex
+    ``v`` tries them in order, then a new one; it joins none of them once
+    too few vertices would remain to reach ``k`` classes. The list yielded
+    is ``classes`` itself, reused."""
+    if v == h.n:
+        budget.spend()
+        yield classes
+        return
+    m = len(classes)
+    if m + h.n - 1 - v >= k:  # staying at m classes can still reach k
+        for c in range(m):
+            if not classes[c] & h.adj[v]:
+                classes[c] |= 1 << v
+                yield from _partitions_into(h, k, budget, classes, v + 1)
                 classes[c] ^= 1 << v
-        c += 1
-        m = len(classes)
-        if m + n - 1 - v < k:  # staying at m classes cannot reach k
-            c = max(c, m)
-        while c < m and classes[c] & adj[v]:
-            c += 1
-        if c < m:
-            classes[c] |= 1 << v
-        elif c == m < k:
-            classes.append(1 << v)
-        else:
-            at[v] = -1
-            v -= 1
-            continue
-        at[v] = c
-        v += 1
+    if m < k:
+        classes.append(1 << v)
+        yield from _partitions_into(h, k, budget, classes, v + 1)
+        classes.pop()
 
 
 def _first_partition(h: Graph, q: Graph, canon: bytes, budget) -> list[list[int]]:
@@ -318,7 +311,7 @@ def _first_partition(h: Graph, q: Graph, canon: bytes, budget) -> list[list[int]
     edge count) before its canonical form is computed."""
     k = q.n
     degrees = sorted(row.bit_count() for row in q.adj)
-    for classes in _partitions_into(h, k, budget):
+    for classes in _partitions_into(h, k, budget, []):
         rows = []
         for part in classes:
             reach = 0

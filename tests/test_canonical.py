@@ -12,11 +12,12 @@ from typing import Optional
 
 from hypothesis import assume, given, strategies as st
 
-from threshold_lab.atlas import _mask_orbit_leaders
+from threshold_lab.atlas import _mask_image, _orbit_leaders
 from threshold_lab.errors import Budget, BudgetExceededError
 from threshold_lab.exact import _min_code, canonical_form
 from threshold_lab.formats import write_graph6
 from threshold_lab.graphs import Graph
+from threshold_lab.thresholds import _pair_image
 
 
 def oracle_min_code(g: Graph, budget) -> tuple[int, ...]:
@@ -180,17 +181,13 @@ def test_budget_only_turns_the_answer_into_an_error(n, seed, limit):
     assert code == canonical_form(h)
 
 
-def brute_force_leaders(g: Graph) -> list[int]:
-    """The least mask of each orbit of Aut(g) on vertex masks, from every
-    permutation that is an automorphism."""
+def brute_force_leaders(g: Graph, items, image) -> list:
+    """The least item of each orbit of Aut(g) on ``items``, from every
+    permutation that is an automorphism; ``image`` maps an item by one."""
     auts = [perm for perm in permutations(range(g.n))
             if all(g.adj[perm[v]] == sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1)
                    for v in range(g.n))]
-    leaders = set()
-    for mask in range(1 << g.n):
-        leaders.add(min(sum(1 << perm[v] for v in range(g.n) if mask >> v & 1)
-                        for perm in auts))
-    return sorted(leaders)
+    return sorted({min(image(perm, item) for perm in auts) for item in items})
 
 
 def test_generators_give_the_whole_group(atlas_by_n):
@@ -204,8 +201,14 @@ def test_generators_give_the_whole_group(atlas_by_n):
                 assert all(h.adj[perm[v]] == sum(1 << perm[u] for u in range(h.n)
                                                  if h.adj[v] >> u & 1)
                            for v in range(h.n)), write_graph6(g)
-            leaders = _mask_orbit_leaders(h)
-            assert leaders == brute_force_leaders(h), write_graph6(g)
-            total += len(leaders)
+            gens = _min_code(h.n, h.adj, Budget())[2]
+            non_edges = [(i, j) for i in range(h.n) for j in range(i + 1, h.n)
+                         if not h.adj[i] >> j & 1]
+            actions = ((range(1 << h.n), _mask_image), (non_edges, _pair_image),
+                       ([1 << v for v in range(h.n)], _mask_image))
+            leaders = [_orbit_leaders(items, gens, image) for items, image in actions]
+            assert leaders == [brute_force_leaders(h, items, image)
+                               for items, image in actions], write_graph6(g)
+            total += len(leaders[0])
         counts.append(total)
     assert counts == [1, 2, 6, 20, 90, 544, 5096]  # OEIS A000666

@@ -19,6 +19,7 @@ from threshold_lab.exact import (
     chromatic_number,
     contains_subgraph,
 )
+from threshold_lab.formats import write_graph6
 from threshold_lab.graphs import Graph
 from threshold_lab.harness import SplitMix64
 
@@ -179,6 +180,14 @@ def test_search_found_implies_near_acyclic(atlas_by_n):
 def test_all_trees_counts():
     # numbers of trees on 1..7 vertices
     assert [len(level) for level in all_trees(7)[1:]] == [1, 1, 1, 2, 3, 6, 11]
+
+
+def test_all_trees_are_the_connected_forests_of_the_atlas(atlas_by_n):
+    trees = all_trees(7)
+    assert trees[0] == []
+    for k in range(1, 8):
+        assert [write_graph6(t) for t in trees[k]] == [
+            write_graph6(g) for g in atlas_by_n[k] if g.is_connected() and g.is_forest()], k
 
 
 # -- template ------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import random
+
+from hypothesis import given, strategies as st
 import pytest
 
 from threshold_lab.errors import DomainError
@@ -92,3 +95,34 @@ def test_bipartite():
     assert is_bipartite(Graph.cycle(5)) is None
     assert is_bipartite(Graph.complete(3)) is None
     assert is_bipartite(Graph.empty(2)) is not None
+
+
+def oracle_is_bipartite(g: Graph):
+    """Colour each component from its least vertex along a vertex stack,
+    and fail on an edge between two vertices of one colour."""
+    colour = [-1] * g.n
+    for start in range(g.n):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in bits(g.adj[v]):
+                if colour[u] < 0:
+                    colour[u] = colour[v] ^ 1
+                    queue.append(u)
+                elif colour[u] == colour[v]:
+                    return None
+    return (
+        [v for v in range(g.n) if colour[v] == 0],
+        [v for v in range(g.n) if colour[v] == 1],
+    )
+
+
+@given(st.integers(0, 12), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_bipartite_matches_oracle(n, percent, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if rng.randrange(100) < percent])
+    assert is_bipartite(g) == oracle_is_bipartite(g)

@@ -15,6 +15,7 @@ from threshold_lab.classify import (
     is_r_near_acyclic,
     is_thundercloud_forest,
 )
+from threshold_lab.constructions import search_zykov_witness
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import chromatic_number, masks_by_size, pattern_chi, subset_tables
 from threshold_lab.graphs import Graph, is_bipartite
@@ -101,6 +102,7 @@ SCANS = {
     "decomposition_family": decomposition_family,
     "chromatic_threshold": chromatic_threshold,
     "chromatic_threshold_star": chromatic_threshold_star,
+    "search_zykov_witness": lambda h, budget: search_zykov_witness(h, 3, 1, 4, budget),
 }
 
 
