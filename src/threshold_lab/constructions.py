@@ -250,10 +250,10 @@ def search_zykov_witness(h: Graph, max_l: int, max_t: int, max_tree_size: int,
     if max_l > ZYKOV_L_CAP:
         raise SizeCapExceededError("search_zykov_witness", ZYKOV_L_CAP, "trees")
     r = max(3, chromatic_number(h, budget))
-    if r == 3 and any(
-        h.adj[u] & h.adj[v] for u, v in h.edges()
-    ):
-        return None  # triangles never embed: r=3 spec graphs are triangle-free
+    # a spec graph's tree and connector part is triangle-free and it has
+    # r - 3 joined classes, so its clique number is r - 1: K_r never embeds
+    if contains_subgraph(h, Graph.complete(r), budget) is not None:
+        return None
     levels = all_trees(max_tree_size)
     if all(
         contains_subgraph(host, h, budget) is None

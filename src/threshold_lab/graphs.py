@@ -22,25 +22,33 @@ class Graph:
 
     ``adj[v]`` is the neighbourhood of ``v`` as a bitmask. The representation
     is validated on construction: symmetric, loopless, and in range.
+
+    The check reads the whole table at once. ``format`` writes each row as
+    ``n`` binary digits, most significant first, and the rows are joined
+    from the last one, so the string is the n-by-n adjacency matrix read
+    backwards: it equals its transpose exactly when the matrix does. A row
+    with a bit at or above ``n`` writes more digits, and a negative row
+    starts with a sign, which a symmetric string can only mirror on its
+    diagonal. So the table is valid exactly when the string has ``n * n``
+    characters, its diagonal is all ``0`` and it equals the join of its
+    column slices. Only a table that fails this is checked vertex by vertex,
+    to name its first fault.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        n, adj = self.n, self.adj
+        if n < 0:
             raise DomainError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise DomainError("adjacency table length must equal vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise DomainError(f"vertex {v} has a neighbour out of range")
-            if row >> v & 1:
-                raise DomainError(f"loop at vertex {v}")
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise DomainError(f"asymmetric edge {v}-{u}")
+        digits = f"0{n}b"
+        matrix = "".join([format(row, digits) for row in reversed(adj)])
+        if (len(matrix) != n * n or matrix[::n + 1].count("0") != n
+                or matrix != "".join([matrix[v::n] for v in range(n)])):
+            _check_by_vertex(n, adj)
 
     # -- constructors ------------------------------------------------------
 
@@ -199,6 +207,22 @@ class Graph:
             if self.adj[v] & rest:
                 return False
         return True
+
+
+def _check_by_vertex(n: int, adj: tuple[int, ...]) -> None:
+    """``Graph``'s check vertex by vertex, which names the first fault of
+    rows that failed the whole-table check: for each vertex in ascending
+    order the range, then a loop, then the least neighbour ``u`` whose row
+    lacks it."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise DomainError(f"vertex {v} has a neighbour out of range")
+        if row >> v & 1:
+            raise DomainError(f"loop at vertex {v}")
+        missing = row & ~sum((adj[u] >> v & 1) << u for u in range(n))
+        if missing:
+            raise DomainError(f"asymmetric edge {v}-{(missing & -missing).bit_length() - 1}")
 
 
 def _two_colouring(adj, s: int) -> Optional[tuple[int, int]]:

@@ -411,26 +411,28 @@ def check_ambient_properties(g: Graph, p, set_size_cap: int = 3,
 
 def _find_clique(g: Graph, within: Sequence[int], k: int, budget) -> Optional[tuple[int, ...]]:
     """Exhaustive k-clique search inside the given vertices, lex-first."""
-    return _extend_clique(g, sorted(within), k, budget, [], 0)
+    return _extend_clique(g.adj, k, budget, [], sum(1 << v for v in set(within)))
 
 
-def _extend_clique(g: Graph, verts: list[int], k: int, budget,
-                   chosen: list[int], start: int) -> Optional[tuple[int, ...]]:
+def _extend_clique(adj, k: int, budget, chosen: list[int],
+                   candidates: int) -> Optional[tuple[int, ...]]:
     # A module-level function, not a closure that calls itself: such a
     # closure is a reference cycle, which would keep each sample alive until
     # the cyclic collector runs.
     budget.spend()
-    if len(chosen) == k:
+    need = k - len(chosen)
+    if not need:
         return tuple(chosen)
-    # stop where too few vertices are left to finish the clique
-    for i in range(start, len(verts) - (k - len(chosen)) + 1):
-        v = verts[i]
-        if all(g.has_edge(v, c) for c in chosen):
-            chosen.append(v)
-            got = _extend_clique(g, verts, k, budget, chosen, i + 1)
-            if got is not None:
-                return got
-            chosen.pop()
+    # ``candidates`` is the common neighbourhood of ``chosen`` among the
+    # vertices still to try; stop where too few are left to finish the clique
+    while candidates.bit_count() >= need:
+        low = candidates & -candidates
+        candidates ^= low
+        chosen.append(low.bit_length() - 1)
+        got = _extend_clique(adj, k, budget, chosen, candidates & adj[chosen[-1]])
+        if got is not None:
+            return got
+        chosen.pop()
     return None
 
 

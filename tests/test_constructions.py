@@ -13,7 +13,7 @@ from threshold_lab.constructions import (
     verify_zykov_containment,
     zykov,
 )
-from threshold_lab.errors import BudgetExceededError, DomainError
+from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import (
     are_isomorphic,
     chromatic_number,
@@ -217,3 +217,9 @@ def test_template_validation():
         make_template(Graph.empty(0), 10, 0)
     with pytest.raises(DomainError):
         TemplateGraph(Graph.complete(4), (0, 1), (2, 3))
+
+
+def test_search_refuses_a_pattern_with_k_r_at_once():
+    # spec graphs have clique number r - 1, with r = max(3, chi(h))
+    for n in (6, 7):
+        assert search_zykov_witness(Graph.complete(n), 2, 2, 4, Budget(10_000)) is None

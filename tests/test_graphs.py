@@ -37,6 +37,62 @@ def test_validation():
         Graph.from_edges(2, [(1, 1)])
 
 
+def test_table_shape_messages():
+    with pytest.raises(DomainError, match="^vertex count must be non-negative$"):
+        Graph(-1, ())
+    with pytest.raises(DomainError,
+                       match="^adjacency table length must equal vertex count$"):
+        Graph(2, (0,))
+
+
+def oracle_validate(n: int, adj: tuple[int, ...]) -> None:
+    """The per-edge check: for each vertex in ascending order, its range,
+    then a loop, then each neighbour's row in ascending order."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise DomainError(f"vertex {v} has a neighbour out of range")
+        if row >> v & 1:
+            raise DomainError(f"loop at vertex {v}")
+        for u in bits(row):
+            if not adj[u] >> v & 1:
+                raise DomainError(f"asymmetric edge {v}-{u}")
+
+
+def _outcome(check, n, adj):
+    try:
+        check(n, adj)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.one_of(st.integers(0, 12), st.just(200)), st.integers(0, 100),
+       st.lists(st.tuples(st.sampled_from(["flip", "loop", "high", "negative"]),
+                          st.integers(0, 2**64 - 1)), max_size=3),
+       st.integers(0, 2**64 - 1))
+def test_validation_matches_oracle(n, percent, faults, seed):
+    rng = random.Random(seed)
+    rows = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if rng.randrange(100) < percent:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for kind, x in faults if n else ():
+        v = x % n
+        if kind == "flip":  # one direction of a pair, maybe a loop
+            rows[v] ^= 1 << (x >> 8) % n
+        elif kind == "loop":
+            rows[v] |= 1 << v
+        elif kind == "high":  # a bit at or above n
+            rows[v] |= 1 << n + (x >> 8) % 70
+        else:
+            rows[v] = ~rows[v]
+    adj = tuple(rows)
+    assert _outcome(Graph, n, adj) == _outcome(oracle_validate, n, adj)
+
+
 def test_bits():
     assert list(bits(0b10110)) == [1, 2, 4]
     assert list(bits(0)) == []

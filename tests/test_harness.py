@@ -314,6 +314,15 @@ def test_find_clique_stops_where_too_few_vertices_remain():
     assert _find_clique(sample, range(32), 30, Budget(10_000)) is None
 
 
+def test_find_clique_carries_the_common_neighbourhood():
+    # the instance above: 45 nodes when each level only counts the vertices
+    # left, 10 when it counts those adjacent to every chosen vertex
+    sample = sample_gnp(GnpParams(60, Fraction(9, 10), derive_trial_seed(0, 0)))
+    budget = Budget()
+    assert _find_clique(sample, range(32), 30, budget) is None
+    assert budget.used == 10
+
+
 @given(st.integers(0, 12), st.integers(0, 5), st.integers(0, 2**64 - 1))
 def test_find_clique_is_the_lex_first_clique(n, k, seed):
     g = sample_gnp(GnpParams(n, Fraction(3, 4), seed))

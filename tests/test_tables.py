@@ -17,7 +17,10 @@ from threshold_lab.classify import (
 )
 from threshold_lab.constructions import search_zykov_witness
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
-from threshold_lab.exact import chromatic_number, masks_by_size, pattern_chi, subset_tables
+from threshold_lab.exact import (
+    chromatic_number, colouring_with, contains_subgraph, masks_by_size, pattern_chi,
+    subset_tables,
+)
 from threshold_lab.graphs import Graph, is_bipartite
 from threshold_lab.thresholds import chromatic_threshold, chromatic_threshold_star
 
@@ -105,6 +108,13 @@ SCANS = {
     "search_zykov_witness": lambda h, budget: search_zykov_witness(h, 3, 1, 4, budget),
 }
 
+# Solvers that finish the sparse pattern below within 1000 nodes (C5 search
+# 106, 3-colouring 17), so they only join the tiny-budget property.
+SOLVERS = {
+    "contains_subgraph": lambda h, budget: contains_subgraph(h, Graph.cycle(5), budget),
+    "colouring_with": lambda h, budget: colouring_with(h, chromatic_number(h), budget),
+}
+
 
 def outcome(scan, h: Graph, budget):
     try:
@@ -117,7 +127,7 @@ def outcome(scan, h: Graph, budget):
        st.integers(0, 400))
 def test_tiny_budget_never_changes_an_answer(n, percent, seed, limit):
     h = gnp(n, percent, seed)
-    for name, scan in SCANS.items():
+    for name, scan in {**SCANS, **SOLVERS}.items():
         expected = outcome(scan, Graph(h.n, h.adj), None)
         # a fresh instance, so the budget also pays for building the tables
         try:
