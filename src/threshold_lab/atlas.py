@@ -1,14 +1,19 @@
 """Isomorph-free generation: the small-graph atlas, the tree list and the
 merge pairs of the quotient search.
 
-Every (k+1)-vertex graph arises from a k-vertex graph by adding one vertex
-with some neighbourhood, so extending canonical representatives and
-deduplicating by canonical form enumerates each isomorphism class once.
-Every (k+1)-vertex tree arises in the same way from a k-vertex tree, with a
-neighbourhood of one vertex. Two neighbourhoods that an automorphism of the
-representative maps onto each other give isomorphic extensions, so only the
-least neighbourhood of each orbit of ``Aut(g)`` is extended (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998). The quotient
+The atlas and the trees grow by canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998). Each (k+1)-vertex graph
+``h`` has a canonical vertex to delete, up to ``Aut(h)``: among the vertices
+of least invariant ``(deg u, sorted degrees of N(u))``, the first in the
+order that gives the canonical code. An extension ``h = g + v`` is kept only
+if ``v`` lies in that vertex's orbit, and one neighbourhood of each
+``Aut(g)``-orbit is tried. Two kept extensions of one class then come from
+the same ``g``, the representative of their canonical deletion, and an
+isomorphism between them that maps ``v`` to ``v`` restricts to an
+automorphism of ``g`` between their neighbourhoods: they are one orbit, so
+each class comes out once. A vertex of smaller invariant than ``v`` rejects
+``h`` before any search. In a tree the least-degree vertices are the
+leaves, so the trees grow by a leaf under the same rule. The quotient
 search of ``thresholds`` takes its merge pairs from the same orbit walk.
 """
 
@@ -17,9 +22,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import as_budget
-from .exact import _min_code, canonical_form
-from .formats import parse_graph6
-from .graphs import Graph
+from .exact import _min_code
+from .formats import pack_graph6, parse_graph6
+from .graphs import Graph, bits
 
 
 def _orbit_leaders(items, gens, image) -> list:
@@ -59,23 +64,41 @@ def _mask_image(perm, mask: int) -> int:
 
 
 def _extend(reps: list[Graph], leaves: bool) -> list[Graph]:
-    """One canonically labelled representative of each class of graphs that
-    adding a vertex to a graph of ``reps`` gives, sorted by canonical form.
-    The new vertex takes every neighbourhood, or with ``leaves`` a single
-    neighbour, one per orbit of ``Aut(g)``."""
-    seen: dict[bytes, None] = {}
+    """The canonically labelled classes whose canonical deletion gives a
+    class of ``reps``, sorted by canonical form. The new vertex takes every
+    neighbourhood, or with ``leaves`` a single neighbour."""
+    out = []
     for g in reps:
         k = g.n
         gens = _min_code(k, g.adj, as_budget(None, "atlas_level"))[2]
         masks = [1 << v for v in range(k)] if leaves else range(1 << k)
         for nbrs in _orbit_leaders(masks, gens, _mask_image):
-            rows = tuple([row | (nbrs >> v & 1) << k for v, row in enumerate(g.adj)])
-            seen.setdefault(canonical_form(Graph._trusted(k + 1, rows + (nbrs,))), None)
-    return [parse_graph6(code) for code in sorted(seen)]
+            rows = [row | (nbrs >> v & 1) << k for v, row in enumerate(g.adj)] + [nbrs]
+            degs = [row.bit_count() for row in rows]
+            if min(degs) < degs[k]:  # the degree alone settles most rejections
+                continue
+            invs = [(d, sorted([degs[u] for u in bits(row)])) for d, row in zip(degs, rows)]
+            least = min(invs)
+            if invs[k] != least:
+                continue
+            code, order, auts = _min_code(k + 1, rows, as_budget(None, "atlas_level"))
+            orbit = 1 << next(u for u in order if invs[u] == least)
+            grown = 0
+            while grown != orbit:
+                grown = orbit
+                for perm in auts:
+                    orbit |= _mask_image(perm, orbit)
+            if orbit >> k & 1:
+                out.append(pack_graph6(k + 1, code))
+    return [parse_graph6(code) for code in sorted(out)]
 
 
 def atlas_level(reps: list[Graph]) -> list[Graph]:
-    """All (k+1)-vertex graphs, given the k-vertex representatives."""
+    """The (k+1)-vertex classes whose canonical deletion gives a class of
+    the k-vertex graphs ``reps``, each once, sorted by canonical form. Given
+    one representative of every k-vertex class, that is every (k+1)-vertex
+    class; given one of them, it is that graph's share, and the shares of
+    distinct classes are disjoint."""
     return _extend(reps, leaves=False)
 
 

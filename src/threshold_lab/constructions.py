@@ -184,9 +184,10 @@ def all_trees(max_n: int) -> list[list[Graph]]:
     sorted by canonical form.
 
     Every (k+1)-vertex tree arises by attaching a leaf to a k-vertex tree.
-    Leaves attached to two vertices in one ``Aut``-orbit of the tree give
-    isomorphic trees, so the atlas's extension step attaches one leaf per
-    orbit.
+    The atlas's extension step attaches one leaf per ``Aut``-orbit of the
+    tree and keeps a tree only if the new leaf is its canonical deletion: a
+    least-degree vertex of a tree on two or more vertices is a leaf, so that
+    deletion always leaves a tree.
     """
     levels: list[list[Graph]] = [[], [Graph.empty(1)]]
     for k in range(1, max_n):

@@ -18,8 +18,8 @@ from threshold_lab.classify import (
 from threshold_lab.constructions import search_zykov_witness
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import (
-    chromatic_number, colouring_with, contains_subgraph, masks_by_size, pattern_chi,
-    subset_tables,
+    chromatic_number, colouring_with, contains_subgraph, count_bicliques, embed_forest,
+    masks_by_size, pattern_chi, subset_tables,
 )
 from threshold_lab.graphs import Graph, is_bipartite
 from threshold_lab.thresholds import chromatic_threshold, chromatic_threshold_star
@@ -109,10 +109,13 @@ SCANS = {
 }
 
 # Solvers that finish the sparse pattern below within 1000 nodes (C5 search
-# 106, 3-colouring 17), so they only join the tiny-budget property.
+# 106, 3-colouring 17, K_{2,2} count 120, P3 embedding 4), so they only join
+# the tiny-budget property.
 SOLVERS = {
     "contains_subgraph": lambda h, budget: contains_subgraph(h, Graph.cycle(5), budget),
     "colouring_with": lambda h, budget: colouring_with(h, chromatic_number(h), budget),
+    "count_bicliques": lambda h, budget: count_bicliques(h, 2, budget),
+    "embed_forest": lambda h, budget: embed_forest(h, Graph.path(3), budget),
 }
 
 
