@@ -1,5 +1,6 @@
-"""Isomorph-free generation: the small-graph atlas, the tree list and the
-merge pairs of the quotient search.
+"""Isomorph-free generation: the small-graph atlas, the tree list, the
+merge pairs of the quotient search and the removal sets of the
+decomposition family.
 
 The atlas and the trees grow by canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998). Each (k+1)-vertex graph
@@ -14,7 +15,8 @@ automorphism of ``g`` between their neighbourhoods: they are one orbit, so
 each class comes out once. A vertex of smaller invariant than ``v`` rejects
 ``h`` before any search. In a tree the least-degree vertices are the
 leaves, so the trees grow by a leaf under the same rule. The quotient
-search of ``thresholds`` takes its merge pairs from the same orbit walk.
+search of ``thresholds`` takes its merge pairs from the same orbit walk,
+and ``classify.decomposition_family`` its removal sets, in removal order.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .graphs import Graph, bits
 
 
 def _orbit_leaders(items, gens, image) -> list:
-    """The least item of each orbit of the group that ``gens`` generates,
-    ascending. ``items`` must be ascending and closed under the group, and
-    ``image(perm, item)`` is the image of ``item`` under the generator
-    ``perm``. The walk keeps a set of the items seen, not a table over
-    every possible item, so its memory grows with ``items`` alone."""
+    """The first item of each orbit of the group that ``gens`` generates,
+    in the order of ``items``. ``items`` may come in any order but must be
+    closed under the group, and ``image(perm, item)`` is the image of
+    ``item`` under the generator ``perm``. The walk keeps a set of the items
+    seen, not a table over every possible item, so its memory grows with
+    ``items`` alone."""
     if not gens:
         return list(items)
     seen = set()

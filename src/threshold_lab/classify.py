@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .atlas import _mask_image, _orbit_leaders
 from .errors import DomainError, as_budget
-from .exact import (
-    canonical_form, colouring_with, masks_by_size, pattern_chi, subset_tables,
-)
-from .graphs import Graph, bits
+from .exact import _min_code, colouring_with, masks_by_size, pattern_chi, subset_tables
+from .formats import pack_graph6
+from .graphs import Graph, _induced_rows, bits
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,15 @@ def is_near_acyclic(h: Graph, budget=None) -> Optional[NearAcyclicWitness]:
 
 def _removals(h: Graph, count: int, budget) -> Iterator[int]:
     """Every vertex mask of ``h`` that is the union of ``count`` independent
-    sets, by (popcount, value), spending one node per mask tried."""
+    sets, by (popcount, value), spending one node per mask tried. For
+    ``count == 1`` those are the independent masks, which the subset tables
+    already list in this order, so only they are tried."""
     tables = subset_tables(h, budget)
+    if count == 1:
+        for removed in tables.indep_by_size:
+            budget.spend()
+            yield removed
+        return
     for removed in masks_by_size(h.n):
         budget.spend()
         if tables.colourable(removed, count, budget):
@@ -227,20 +234,38 @@ def is_r_near_acyclic(h: Graph, r: int, budget=None
 
 def decomposition_family(h: Graph, budget=None) -> list[Graph]:
     """Every bipartite graph (up to isomorphism) obtained by deleting the
-    union of chi(h)-2 independent sets; sorted by canonical form."""
+    union of chi(h)-2 independent sets; sorted by canonical form. Each
+    class is the graph induced by its first rest in removal order.
+
+    An automorphism of ``h`` maps a removal set onto one whose rest is
+    isomorphic, so only the first removal of each ``Aut(h)``-orbit, in
+    removal order, gets a canonical search; the generators come from one
+    search of ``h`` (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998). The first rest of a class in removal order is the
+    first of its orbit, so the kept graphs are those of a search of every
+    rest. A rest is searched as rows, relabelled by degree, and rests with
+    the same rows share one search; only a kept class becomes a ``Graph``.
+    """
     budget = as_budget(budget, "decomposition_family")
     r = pattern_chi(h, budget)
     if r < 2:
         raise DomainError("decomposition family needs chi(h) >= 2")
     tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
-    seen: dict[bytes, Graph] = {}
-    for removed in _removals(h, r - 2, budget):
+    removals = [removed for removed in _removals(h, r - 2, budget)
+                if tables.bipartite(full & ~removed)]
+    gens = _min_code(h.n, h.adj, budget)[2]
+    codes: dict[tuple[int, ...], bytes] = {}
+    kept: dict[bytes, int] = {}
+    for removed in _orbit_leaders(removals, gens, _mask_image):
         rest = full & ~removed
-        if tables.bipartite(rest):
-            sub = h.induced_mask(rest)
-            seen.setdefault(canonical_form(sub, budget), sub)
-    return [seen[k] for k in sorted(seen)]
+        # least degree first: isomorphic rests often get the same rows
+        verts = sorted(bits(rest), key=lambda v: (h.adj[v] & rest).bit_count())
+        rows = _induced_rows(h.adj, verts)
+        if rows not in codes:
+            codes[rows] = pack_graph6(len(rows), _min_code(len(rows), rows, budget)[0])
+        kept.setdefault(codes[rows], rest)
+    return [h.induced_mask(kept[code]) for code in sorted(kept)]
 
 
 def has_forest_in_decomposition_family(h: Graph, budget=None) -> Optional[RemovalSequence]:

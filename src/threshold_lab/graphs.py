@@ -142,13 +142,7 @@ class Graph:
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on ``vertices``, relabelled in ascending order."""
         keep = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        rows = [0] * len(keep)
-        for v in keep:
-            for u in bits(self.adj[v]):
-                if u in index:
-                    rows[index[v]] |= 1 << index[u]
-        return Graph(len(keep), tuple(rows))
+        return Graph(len(keep), _induced_rows(self.adj, keep))
 
     def induced_mask(self, mask: int) -> "Graph":
         return self.induced(bits(mask))
@@ -207,6 +201,18 @@ class Graph:
             if self.adj[v] & rest:
                 return False
         return True
+
+
+def _induced_rows(adj, keep: list[int]) -> tuple[int, ...]:
+    """The rows of the subgraph that the distinct vertices ``keep`` induce,
+    with ``keep[i]`` relabelled ``i``."""
+    index = {v: i for i, v in enumerate(keep)}
+    rows = [0] * len(keep)
+    for v in keep:
+        for u in bits(adj[v]):
+            if u in index:
+                rows[index[v]] |= 1 << index[u]
+    return tuple(rows)
 
 
 def _check_by_vertex(n: int, adj: tuple[int, ...]) -> None:

@@ -59,6 +59,14 @@ def oracle_extend(reps, leaves=False):
     return [parse_graph6(code) for code in sorted(seen)]
 
 
+def test_orbit_leaders_keep_the_first_item_in_the_given_order():
+    rotate = (1, 2, 3, 0)  # the rotation of the 4-cycle 0-1-2-3
+    masks = [0b0100, 0b0001, 0b1000, 0b0010,
+             0b1100, 0b0101, 0b0011, 0b1010, 0b0110, 0b1001]
+    assert _orbit_leaders(masks, [rotate], _mask_image) == [0b0100, 0b1100, 0b0101]
+    assert _orbit_leaders(masks, [], _mask_image) == masks
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_level(k: int, leaves: bool = False) -> tuple:
     """Level ``k`` of the atlas, or of the trees with ``leaves``, built by

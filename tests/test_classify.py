@@ -3,9 +3,11 @@ enumerates odd cycles explicitly."""
 
 from itertools import combinations
 
+from hypothesis import given, strategies as st
 import pytest
 
 from threshold_lab.classify import (
+    _removals,
     decomposition_family,
     has_forest_in_decomposition_family,
     is_cloud_forest,
@@ -14,8 +16,11 @@ from threshold_lab.classify import (
     is_r_near_acyclic,
     is_thundercloud_forest,
 )
-from threshold_lab.errors import DomainError
-from threshold_lab.exact import are_isomorphic, chromatic_number
+from threshold_lab.constructions import blow_up
+from threshold_lab.errors import Budget, DomainError
+from threshold_lab.exact import (
+    are_isomorphic, canonical_form, chromatic_number, masks_by_size, subset_tables,
+)
 from threshold_lab.graphs import Graph
 from threshold_lab.harness import GnpParams, sample_gnp
 
@@ -212,10 +217,48 @@ def test_decomposition_family_c5():
     assert any(f.is_forest() for f in fam)
 
 
+def oracle_decomposition_family(h: Graph) -> list[Graph]:
+    """Every removal of chi(h) - 2 independent sets by (popcount, value),
+    one canonical form per bipartite rest, and the first rest of each class
+    kept, sorted by canonical form."""
+    r = chromatic_number(h)
+    tables = subset_tables(h)
+    full = (1 << h.n) - 1
+    seen = {}
+    for removed in masks_by_size(h.n):
+        rest = full & ~removed
+        if tables.colourable(removed, r - 2) and tables.bipartite(rest):
+            sub = h.induced_mask(rest)
+            seen.setdefault(canonical_form(sub), sub)
+    return [seen[code] for code in sorted(seen)]
+
+
+@given(st.integers(2, 9), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_decomposition_family_matches_oracle(n, percent, seed):
+    h = sample_gnp(GnpParams(n, f"{percent}/100", seed))
+    if chromatic_number(h) >= 2:
+        assert decomposition_family(h) == oracle_decomposition_family(Graph(h.n, h.adj))
+
+
+@pytest.mark.parametrize("h", [Graph.cycle(k) for k in range(5, 16)]
+                         + [blow_up(Graph.cycle(5), 2),
+                            Graph.complete_multipartite([2, 2, 2])],
+                         ids=[f"C{k}" for k in range(5, 16)] + ["C5x2", "K222"])
+def test_decomposition_family_of_symmetric_patterns_matches_oracle(h):
+    assert decomposition_family(h) == oracle_decomposition_family(Graph(h.n, h.adj))
+
+
+@given(st.integers(0, 8), st.integers(0, 100), st.integers(0, 2**64 - 1), st.integers(0, 3))
+def test_removals_match_the_mask_filter(n, percent, seed, count):
+    h = sample_gnp(GnpParams(n, f"{percent}/100", seed))
+    tables = subset_tables(h)
+    assert list(_removals(h, count, Budget())) == [
+        m for m in masks_by_size(n) if tables.colourable(m, count)]
+
+
 def test_forest_in_family():
     assert has_forest_in_decomposition_family(Graph.complete(3)) is not None
     assert has_forest_in_decomposition_family(Graph.cycle(5)) is not None
-    from threshold_lab.constructions import blow_up
     assert has_forest_in_decomposition_family(blow_up(Graph.cycle(5), 2)) is None
     with pytest.raises(DomainError):
         has_forest_in_decomposition_family(Graph.path(3))

@@ -1,6 +1,7 @@
 """Exact solvers checked against brute-force oracles built from scratch."""
 
 import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -25,7 +26,7 @@ from threshold_lab.exact import (
     subset_tables,
     two_density,
 )
-from threshold_lab.formats import parse_graph6
+from threshold_lab.formats import parse_graph6, write_graph6
 from threshold_lab.graphs import Graph
 from threshold_lab.harness import GnpParams, SplitMix64, sample_gnp
 
@@ -143,19 +144,41 @@ def test_two_density_known():
     assert two_density(Graph.complete(4)) == Fraction(5, 2)
     assert two_density(Graph.complete(5)) == 3
     assert two_density(Graph.cycle(5)) == Fraction(4, 3)
+    for n in range(3, 10):
+        assert two_density(Graph.empty(n)) == Fraction(-1, n - 2)
+        assert two_density(Graph.from_edges(n, [(0, n - 1)])) == 0
     with pytest.raises(DomainError):
         two_density(Graph.complete(2))
 
 
-def test_two_density_oracle_all_5_vertex(atlas_by_n):
-    for g in atlas_by_n[5]:
-        assert two_density(g) == oracle_two_density(g)
+def test_two_density_matches_oracle_on_the_atlas(atlas_by_n):
+    for n in range(3, 8):
+        for g in atlas_by_n[n]:
+            assert two_density(g) == oracle_two_density(g), write_graph6(g)
 
 
 def test_two_density_oracle_sampled_6_vertex():
     for seed in range(15):
         g = sample_gnp(GnpParams(6, "0.5", seed))
         assert two_density(g) == oracle_two_density(g)
+
+
+@given(st.integers(3, 12), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_two_density_matches_oracle_on_gnp(n, percent, seed):
+    g = sample_gnp(GnpParams(n, Fraction(percent, 100), seed))
+    assert two_density(g) == oracle_two_density(g)
+
+
+def test_two_density_refuses_a_large_graph_before_allocating():
+    g = Graph.empty(40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            two_density(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # -- subgraph containment -------------------------------------------------------------

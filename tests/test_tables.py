@@ -19,10 +19,12 @@ from threshold_lab.constructions import search_zykov_witness
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import (
     chromatic_number, colouring_with, contains_subgraph, count_bicliques, embed_forest,
-    masks_by_size, pattern_chi, subset_tables,
+    masks_by_size, pattern_chi, subset_tables, two_density,
 )
 from threshold_lab.graphs import Graph, is_bipartite
-from threshold_lab.thresholds import chromatic_threshold, chromatic_threshold_star
+from threshold_lab.thresholds import (
+    chromatic_threshold, chromatic_threshold_star, regime_table, regime_table_star,
+)
 
 
 def gnp(n: int, percent: int, seed: int) -> Graph:
@@ -106,6 +108,9 @@ SCANS = {
     "chromatic_threshold": chromatic_threshold,
     "chromatic_threshold_star": chromatic_threshold_star,
     "search_zykov_witness": lambda h, budget: search_zykov_witness(h, 3, 1, 4, budget),
+    "two_density": two_density,
+    "regime_table": regime_table,
+    "regime_table_star": regime_table_star,
 }
 
 # Solvers that finish the sparse pattern below within 1000 nodes (C5 search
