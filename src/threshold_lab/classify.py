@@ -9,6 +9,12 @@ and, from its subset tables (``exact.subset_tables``), whether a vertex set
 is independent, induces a forest, or has a given chromatic number; both live
 in the pattern's record, so each is computed once per pattern. The removal
 sets of the decomposition-family scans come from one walk, ``_removals``.
+
+The r-near-acyclic and forest-in-family scans come in two parts: a search
+over masks (``_r_near_acyclic_masks``, ``_forest_removal``) returns the
+masks that decide the answer, and only the public recognisers and
+``thresholds.chromatic_threshold`` build a witness from them, so a caller
+that needs only the threshold value builds none.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .atlas import _mask_image, _orbit_leaders
 from .errors import DomainError, as_budget
 from .exact import _min_code, colouring_with, masks_by_size, pattern_chi, subset_tables
 from .formats import pack_graph6
-from .graphs import Graph, _induced_rows, bits
+from .graphs import Graph, _degree_rows, bits
 
 
 @dataclass(frozen=True)
@@ -206,19 +212,17 @@ def _removal_sequence(h: Graph, removed_mask: int, count: int, budget) -> Remova
     return RemovalSequence(tuple(sets))
 
 
-def is_r_near_acyclic(h: Graph, r: int, budget=None
-                      ) -> Optional[tuple[RemovalSequence, NearAcyclicWitness]]:
-    """Witness that deleting the union of r-3 independent sets leaves a
-    near-acyclic graph. Requires r = chi(h) >= 3."""
-    budget = as_budget(budget, "is_r_near_acyclic")
-    chi = pattern_chi(h, budget)
-    if r != chi or r < 3:
-        raise DomainError(f"r must equal chi(h) >= 3, got r={r}, chi={chi}")
-    if r == 3:  # nothing is removed
-        witness = is_near_acyclic(h, budget)
-        return (RemovalSequence(()), witness) if witness is not None else None
+def _r_near_acyclic_masks(h: Graph, r: int, budget) -> Optional[tuple[int, int]]:
+    """The masks that decide whether ``h``, of chi ``r >= 3``, is
+    r-near-acyclic: the first removed union of r-3 independent sets (by
+    popcount, then value) whose rest has an independent part I as in
+    ``_near_acyclic_part``, and the first such I; ``None`` if there is none.
+    ``_near_acyclic_witness`` turns the masks into the witness."""
     tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
+    if r == 3:  # nothing is removed
+        part = _near_acyclic_part(tables, full, budget)
+        return None if part is None else (0, part)
     for removed in _removals(h, r - 3, budget):
         keep = full & ~removed
         # chi(keep) >= r - chi(removed) >= 3, so chi(keep) == 3 iff keep is
@@ -227,9 +231,32 @@ def is_r_near_acyclic(h: Graph, r: int, budget=None
             continue
         part = _near_acyclic_part(tables, keep, budget)
         if part is not None:
-            witness = NearAcyclicWitness(_mask_tuple(part), _mask_tuple(keep & ~part))
-            return _removal_sequence(h, removed, r - 3, budget), witness
+            return removed, part
     return None
+
+
+def _near_acyclic_witness(h: Graph, r: int, removed: int, part: int, budget
+                          ) -> tuple[RemovalSequence, NearAcyclicWitness]:
+    """The witness of ``is_r_near_acyclic`` for the masks that
+    ``_r_near_acyclic_masks`` found: ``removed`` split into r-3 independent
+    sets, and the near-acyclic partition of the rest."""
+    rest = ((1 << h.n) - 1) & ~removed & ~part
+    removals = _removal_sequence(h, removed, r - 3, budget) if r > 3 else RemovalSequence(())
+    return removals, NearAcyclicWitness(_mask_tuple(part), _mask_tuple(rest))
+
+
+def is_r_near_acyclic(h: Graph, r: int, budget=None
+                      ) -> Optional[tuple[RemovalSequence, NearAcyclicWitness]]:
+    """Witness that deleting the union of r-3 independent sets leaves a
+    near-acyclic graph. Requires r = chi(h) >= 3. The search is
+    ``_r_near_acyclic_masks``, and only its answer is built into a
+    witness."""
+    budget = as_budget(budget, "is_r_near_acyclic")
+    chi = pattern_chi(h, budget)
+    if r != chi or r < 3:
+        raise DomainError(f"r must equal chi(h) >= 3, got r={r}, chi={chi}")
+    masks = _r_near_acyclic_masks(h, r, budget)
+    return None if masks is None else _near_acyclic_witness(h, r, *masks, budget)
 
 
 def decomposition_family(h: Graph, budget=None) -> list[Graph]:
@@ -259,24 +286,31 @@ def decomposition_family(h: Graph, budget=None) -> list[Graph]:
     kept: dict[bytes, int] = {}
     for removed in _orbit_leaders(removals, gens, _mask_image):
         rest = full & ~removed
-        # least degree first: isomorphic rests often get the same rows
-        verts = sorted(bits(rest), key=lambda v: (h.adj[v] & rest).bit_count())
-        rows = _induced_rows(h.adj, verts)
+        rows = _degree_rows(h.adj, rest)
         if rows not in codes:
             codes[rows] = pack_graph6(len(rows), _min_code(len(rows), rows, budget)[0])
         kept.setdefault(codes[rows], rest)
     return [h.induced_mask(kept[code]) for code in sorted(kept)]
 
 
-def has_forest_in_decomposition_family(h: Graph, budget=None) -> Optional[RemovalSequence]:
-    """First removal (by union size, then lex) leaving a forest."""
-    budget = as_budget(budget, "has_forest_in_decomposition_family")
-    r = pattern_chi(h, budget)
-    if r < 3:
-        raise DomainError("forest-in-family check needs chi(h) >= 3")
+def _forest_removal(h: Graph, r: int, budget) -> Optional[int]:
+    """The first removed union of r-2 independent sets (by popcount, then
+    value) that leaves a forest in ``h``, of chi ``r >= 3``, or ``None``."""
     forest = subset_tables(h, budget).forest
     full = (1 << h.n) - 1
     for removed in _removals(h, r - 2, budget):
         if forest[full & ~removed]:
-            return _removal_sequence(h, removed, r - 2, budget)
+            return removed
     return None
+
+
+def has_forest_in_decomposition_family(h: Graph, budget=None) -> Optional[RemovalSequence]:
+    """First removal (by union size, then lex) leaving a forest. The search
+    is ``_forest_removal``, and only its answer is split into independent
+    sets."""
+    budget = as_budget(budget, "has_forest_in_decomposition_family")
+    r = pattern_chi(h, budget)
+    if r < 3:
+        raise DomainError("forest-in-family check needs chi(h) >= 3")
+    removed = _forest_removal(h, r, budget)
+    return None if removed is None else _removal_sequence(h, removed, r - 2, budget)

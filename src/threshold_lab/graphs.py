@@ -215,6 +215,16 @@ def _induced_rows(adj, keep: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _degree_rows(adj, mask: int) -> tuple[int, ...]:
+    """The rows of the subgraph that the vertex mask ``mask`` induces in the
+    rows ``adj``, relabelled least degree first (degrees in that subgraph,
+    ties in ascending order). Equal rows mean isomorphic subgraphs, and
+    isomorphic subgraphs often get equal rows, so the rows can key one
+    canonical search for many of them."""
+    keep = sorted(bits(mask), key=lambda v: (adj[v] & mask).bit_count())
+    return _induced_rows(adj, keep)
+
+
 def _check_by_vertex(n: int, adj: tuple[int, ...]) -> None:
     """``Graph``'s check vertex by vertex, which names the first fault of
     rows that failed the whole-table check: for each vertex in ascending

@@ -13,15 +13,17 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, SizeCapExceededError, as_budget
 from .classify import (
-    has_forest_in_decomposition_family,
+    _forest_removal,
+    _near_acyclic_witness,
+    _r_near_acyclic_masks,
+    _removal_sequence,
     is_cloud_forest,
-    is_r_near_acyclic,
     is_thundercloud_forest,
 )
 from .atlas import _orbit_leaders
 from .exact import _min_code, canonical_form, pattern_chi, two_density
 from .formats import pack_graph6
-from .graphs import Graph, bits
+from .graphs import Graph, _degree_rows, bits
 
 
 # -- threshold values ----------------------------------------------------------
@@ -166,36 +168,46 @@ class RegimeTable:
 # -- threshold classification ----------------------------------------------------
 
 
+def _threshold_case(h: Graph, budget) -> tuple[Fraction, str, object]:
+    """The chromatic threshold of ``h``, which has an edge, the case that
+    decides it, and the masks that decide the case: ``(removed, part)`` from
+    ``classify._r_near_acyclic_masks`` for "r-near-acyclic", the removed
+    mask from ``classify._forest_removal`` for
+    "forest-in-decomposition-family", and ``None`` otherwise. No witness is
+    built; ``chromatic_threshold`` builds it from the masks."""
+    r = pattern_chi(h, budget)
+    if r == 2:
+        return Fraction(0), "bipartite", None
+    near = _r_near_acyclic_masks(h, r, budget)
+    if near is not None:
+        return Fraction(r - 3, r - 2), "r-near-acyclic", near
+    removed = _forest_removal(h, r, budget)
+    if removed is None:
+        return Fraction(r - 2, r - 1), "no-forest-in-decomposition-family", None
+    return Fraction(2 * r - 5, 2 * r - 3), "forest-in-decomposition-family", removed
+
+
 def chromatic_threshold(h: Graph, budget=None) -> tuple[ThresholdValue, dict]:
     """Exact chromatic threshold with a certifying witness bundle.
 
     For chi(h) = r >= 3 the value is (r-3)/(r-2) when h is r-near-acyclic,
     (r-2)/(r-1) when no forest lies in the decomposition family, and
-    (2r-5)/(2r-3) otherwise.
+    (2r-5)/(2r-3) otherwise. The case search is ``_threshold_case``, and the
+    witness is built from the masks it returns, the same witness that
+    ``is_r_near_acyclic`` and ``has_forest_in_decomposition_family`` give.
     """
     budget = as_budget(budget, "chromatic_threshold")
     if h.edge_count() == 0:
         raise DomainError("chromatic threshold needs at least one edge")
+    value, case, masks = _threshold_case(h, budget)
+    witness = {"case": case}
     r = pattern_chi(h, budget)
-    if r == 2:
-        return ThresholdValue.exact(0), {"case": "bipartite"}
-    near = is_r_near_acyclic(h, r, budget)
-    if near is not None:
-        removals, witness = near
-        return ThresholdValue.exact(Fraction(r - 3, r - 2)), {
-            "case": "r-near-acyclic",
-            "removals": removals.to_json(),
-            "near_acyclic": witness.to_json(),
-        }
-    forest = has_forest_in_decomposition_family(h, budget)
-    if forest is None:
-        return ThresholdValue.exact(Fraction(r - 2, r - 1)), {
-            "case": "no-forest-in-decomposition-family",
-        }
-    return ThresholdValue.exact(Fraction(2 * r - 5, 2 * r - 3)), {
-        "case": "forest-in-decomposition-family",
-        "removals": forest.to_json(),
-    }
+    if case == "r-near-acyclic":
+        removals, near = _near_acyclic_witness(h, r, *masks, budget)
+        witness.update(removals=removals.to_json(), near_acyclic=near.to_json())
+    elif case == "forest-in-decomposition-family":
+        witness["removals"] = _removal_sequence(h, masks, r - 2, budget).to_json()
+    return ThresholdValue.exact(value), witness
 
 
 # -- quotients -------------------------------------------------------------------
@@ -247,9 +259,16 @@ def quotients_with_partitions(h: Graph, budget=None
     the generators come from the same search that gave ``q`` its code
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
+    Two merges whose rows, relabelled least degree first
+    (``graphs._degree_rows``), are equal are isomorphic, and merging one
+    partition along two paths often gives such rows. So at each level only
+    the first merge with given relabelled rows gets a canonical search; a
+    later one is isomorphic to a quotient whose code is already known, and
+    a search of every merge would drop it too.
+
     The partition is the one carried along the merges, not the first in
-    restricted-growth order. Each merge spends the nodes of its canonical
-    search.
+    restricted-growth order. Each merge searched spends the nodes of its
+    canonical search.
     """
     budget = as_budget(budget, "quotients_with_partitions")
     if h.n > QUOTIENT_VERTEX_CAP:
@@ -260,12 +279,17 @@ def quotients_with_partitions(h: Graph, budget=None
     yield Graph._trusted(h.n, h.adj), [[v] for v in range(h.n)], pack_graph6(h.n, code)
     while level:
         seen: set[int] = set()
+        searched: set[tuple[int, ...]] = set()
         merged = []
         for adj, classes, gens in level:
             n = len(adj)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
             for i, j in _orbit_leaders(pairs, gens, _pair_image):
                 rows = _merge(adj, i, j)
+                key = _degree_rows(rows, (1 << n - 1) - 1)
+                if key in searched:
+                    continue
+                searched.add(key)
                 code, _, sub_gens = _min_code(len(rows), rows, budget)
                 if code in seen:
                     continue
@@ -331,7 +355,9 @@ def chromatic_threshold_star(h: Graph, budget=None) -> tuple[ThresholdValue, dic
     The minimum is taken over the isomorphism classes of quotients, one
     representative each, from the merge search of
     ``quotients_with_partitions``; isomorphic quotients have the same
-    threshold, so one representative per class is exact. The minimising
+    threshold, so one representative per class is exact. Each quotient's
+    value comes from the case search of ``chromatic_threshold``
+    (``_threshold_case``), and no quotient's witness is built. The minimising
     witness is chosen deterministically: least value, then fewest vertices,
     then least canonical form. Its partition is the first in
     restricted-growth order whose quotient has that canonical form. The
@@ -345,8 +371,7 @@ def chromatic_threshold_star(h: Graph, budget=None) -> tuple[ThresholdValue, dic
         raise DomainError("chromatic threshold needs at least one edge")
     best = None  # ((value, n, canon), graph)
     for q, _, canon in quotients_with_partitions(h, budget):
-        value, _ = chromatic_threshold(q, budget)
-        key = (value.lo, q.n, canon)
+        key = (_threshold_case(q, budget)[0], q.n, canon)
         if best is None or key < best[0]:
             best = (key, q)
     assert best is not None

@@ -23,7 +23,8 @@ from threshold_lab.exact import (
 )
 from threshold_lab.graphs import Graph, is_bipartite
 from threshold_lab.thresholds import (
-    chromatic_threshold, chromatic_threshold_star, regime_table, regime_table_star,
+    chromatic_threshold, chromatic_threshold_star, quotients_with_partitions, regime_table,
+    regime_table_star,
 )
 
 
@@ -107,6 +108,7 @@ SCANS = {
     "decomposition_family": decomposition_family,
     "chromatic_threshold": chromatic_threshold,
     "chromatic_threshold_star": chromatic_threshold_star,
+    "quotients_with_partitions": lambda h, budget: list(quotients_with_partitions(h, budget)),
     "search_zykov_witness": lambda h, budget: search_zykov_witness(h, 3, 1, 4, budget),
     "two_density": two_density,
     "regime_table": regime_table,

@@ -4,10 +4,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from threshold_lab.atlas import _orbit_leaders
 from threshold_lab.constructions import blow_up
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
-from threshold_lab.exact import are_isomorphic, canonical_form, chromatic_number
-from threshold_lab.formats import parse_graph6
+from threshold_lab.exact import _min_code, are_isomorphic, canonical_form, chromatic_number
+from threshold_lab.formats import pack_graph6, parse_graph6
 from threshold_lab.graphs import Graph, bits
 from threshold_lab.harness import GnpParams, sample_gnp
 from threshold_lab.thresholds import (
@@ -16,6 +17,8 @@ from threshold_lab.thresholds import (
     RegimeTable,
     ThresholdValue,
     _first_partition,
+    _merge,
+    _pair_image,
     chromatic_threshold,
     chromatic_threshold_star,
     quotients_with_partitions,
@@ -180,6 +183,83 @@ def test_star_c11_within_node_budget():
     assert got.lo == 0
     assert witness == {"quotient_graph6": "DLo", "quotient_vertices": 5,
                        "partition": [[0, 2, 4, 6], [1, 3, 5, 7], [8], [9], [10]]}
+
+
+WHEEL_12 = Graph.from_edges(12, [(v, 11) for v in range(11)]
+                            + [(v, (v + 1) % 11) for v in range(11)])
+
+
+@pytest.mark.parametrize("h,before,value,witness", [
+    (Graph.cycle(11), 141_042, 0,
+     {"quotient_graph6": "DLo", "quotient_vertices": 5,
+      "partition": [[0, 2, 4, 6], [1, 3, 5, 7], [8], [9], [10]]}),
+    (WHEEL_12, 734_805, Fraction(1, 2),
+     {"quotient_graph6": "ELrw", "quotient_vertices": 6,
+      "partition": [[0, 2, 4, 6], [1, 3, 5, 7], [8], [9], [10], [11]]}),
+], ids=["C11", "W12"])
+def test_star_spends_fewer_nodes_than_a_search_per_merge(h, before, value, witness):
+    """``before`` is what the default budget paid when every merge had its
+    own canonical search and every quotient a witness."""
+    budget = Budget()
+    got, got_witness = chromatic_threshold_star(h, budget)
+    assert (got.lo, got_witness) == (value, witness)
+    assert budget.used < before
+
+
+# -- the per-merge search oracle ------------------------------------------------------
+
+
+def oracle_quotient_search(h: Graph, budget: Budget):
+    """The merge search of ``quotients_with_partitions`` with one canonical
+    search per merge: each level keeps a merge whose code it has not seen.
+    Yields the rows, the partition and the canonical form of each class."""
+    code, _, gens = _min_code(h.n, h.adj, budget)
+    level = [(h.adj, [1 << v for v in range(h.n)], gens)]
+    yield h.adj, [[v] for v in range(h.n)], pack_graph6(h.n, code)
+    while level:
+        seen = set()
+        merged = []
+        for adj, classes, gens in level:
+            n = len(adj)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
+            for i, j in _orbit_leaders(pairs, gens, _pair_image):
+                rows = _merge(adj, i, j)
+                code, _, sub_gens = _min_code(len(rows), rows, budget)
+                if code in seen:
+                    continue
+                seen.add(code)
+                parts = classes[:j] + classes[j + 1:]
+                parts[i] = classes[i] | classes[j]
+                merged.append((rows, parts, sub_gens))
+                yield rows, [list(bits(c)) for c in parts], pack_graph6(len(rows), code)
+        level = merged
+
+
+def assert_matches_per_merge_search(h: Graph) -> tuple[int, int]:
+    """The nodes that the shared searches and the per-merge search spent."""
+    shared, per_merge = Budget(), Budget()
+    got = [(q.adj, partition, canon)
+           for q, partition, canon in quotients_with_partitions(h, shared)]
+    assert got == list(oracle_quotient_search(h, per_merge))
+    assert shared.used <= per_merge.used
+    return shared.used, per_merge.used
+
+
+@given(st.integers(1, 9), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_shared_searches_match_the_per_merge_search(n, percent, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if rng.randrange(100) < percent])
+    assert_matches_per_merge_search(g.relabel(rng.sample(range(n), n)))
+
+
+@pytest.mark.parametrize("h", [Graph.cycle(7), Graph.cycle(9),
+                               Graph.complete_multipartite([3, 3, 3]),
+                               blow_up(Graph.cycle(5), 2), Graph.cycle(11)],
+                         ids=["C7", "C9", "K333", "C5x2", "C11"])
+def test_shared_searches_match_the_per_merge_search_on_symmetric_patterns(h):
+    shared, per_merge = assert_matches_per_merge_search(h)
+    assert shared < per_merge  # each has merges with equal relabelled rows
 
 
 # -- the partition-by-partition oracle ------------------------------------------------
