@@ -15,6 +15,15 @@ over masks (``_r_near_acyclic_masks``, ``_forest_removal``) returns the
 masks that decide the answer, and only the public recognisers and
 ``thresholds.chromatic_threshold`` build a witness from them, so a caller
 that needs only the threshold value builds none.
+
+No graph with a triangle is in any of the first three classes. An
+independent set meets a triangle in at most one vertex, so a triangle
+either lies in the forest part or meets the independent part once, in an
+odd cycle that it meets fewer than twice. In a cloud-forest the two
+triangle vertices outside the cloud would be adjacent leaves both
+attached to it. So these scans give ``None`` on a triangle before they
+walk a candidate (``graphs._has_triangle``), and the r-near-acyclic scan
+skips every removal whose rest keeps a triangle.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .atlas import _mask_image, _orbit_leaders
 from .errors import DomainError, as_budget
 from .exact import _min_code, colouring_with, masks_by_size, pattern_chi, subset_tables
 from .formats import pack_graph6
-from .graphs import Graph, _degree_rows, bits
+from .graphs import Graph, _degree_rows, _has_triangle, bits
 
 
 @dataclass(frozen=True)
@@ -75,10 +84,13 @@ def _mask_tuple(mask: int) -> tuple[int, ...]:
 def is_cloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
     """First independent cloud I (by size, then lex) whose complement is a
     forest receiving I-edges only at leaves/isolated vertices, with no two
-    adjacent leaves both attached to I."""
+    adjacent leaves both attached to I. ``None`` at once if ``h`` has a
+    triangle: its two vertices outside I would be such leaves."""
     budget = as_budget(budget, "is_cloud_forest")
-    tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
+    if _has_triangle(h.adj, full):
+        return None
+    tables = subset_tables(h, budget)
     for cloud in tables.indep_by_size:
         budget.spend()
         if _cloud_conditions(h, tables, cloud, full & ~cloud):
@@ -114,10 +126,14 @@ def _odd_cycles_meet_twice(tables, part: int, rest: int) -> bool:
 
 
 def is_thundercloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
-    """A cloud-forest witness whose cloud also meets every odd cycle twice."""
+    """A cloud-forest witness whose cloud also meets every odd cycle twice.
+    ``None`` at once if ``h`` has a triangle, which an independent cloud
+    meets at most once."""
     budget = as_budget(budget, "is_thundercloud_forest")
-    tables = subset_tables(h, budget)
     full = (1 << h.n) - 1
+    if _has_triangle(h.adj, full):
+        return None
+    tables = subset_tables(h, budget)
     for cloud in tables.indep_by_size:
         budget.spend()
         rest = full & ~cloud
@@ -173,15 +189,15 @@ def _near_acyclic_part(tables, keep: int, budget) -> Optional[int]:
 
 def is_near_acyclic(h: Graph, budget=None) -> Optional[NearAcyclicWitness]:
     """chi = 3 plus a partition into independent I and a forest such that
-    every odd cycle meets I at least twice."""
+    every odd cycle meets I at least twice. The search is
+    ``_r_near_acyclic_masks`` with r = 3, so a pattern with a triangle,
+    which I meets at most once, gets ``None`` once its chi is known,
+    before any subset table is built."""
     budget = as_budget(budget, "is_near_acyclic")
     if pattern_chi(h, budget) != 3:
         return None
-    full = (1 << h.n) - 1
-    part = _near_acyclic_part(subset_tables(h, budget), full, budget)
-    if part is None:
-        return None
-    return NearAcyclicWitness(_mask_tuple(part), _mask_tuple(full & ~part))
+    masks = _r_near_acyclic_masks(h, 3, budget)
+    return None if masks is None else _near_acyclic_witness(h, 3, *masks, budget)[1]
 
 
 def _removals(h: Graph, count: int, budget) -> Iterator[int]:
@@ -217,17 +233,25 @@ def _r_near_acyclic_masks(h: Graph, r: int, budget) -> Optional[tuple[int, int]]
     r-near-acyclic: the first removed union of r-3 independent sets (by
     popcount, then value) whose rest has an independent part I as in
     ``_near_acyclic_part``, and the first such I; ``None`` if there is none.
-    ``_near_acyclic_witness`` turns the masks into the witness."""
-    tables = subset_tables(h, budget)
+    ``_near_acyclic_witness`` turns the masks into the witness.
+
+    A rest with a triangle has no such I, since I meets the triangle at most
+    once. So with r = 3 a pattern with a triangle gives ``None`` before the
+    subset tables are built, and with r >= 4 a removal whose rest keeps a
+    triangle is skipped before its rest's chi is looked up, which may build
+    the chi table."""
     full = (1 << h.n) - 1
     if r == 3:  # nothing is removed
-        part = _near_acyclic_part(tables, full, budget)
+        if _has_triangle(h.adj, full):
+            return None
+        part = _near_acyclic_part(subset_tables(h, budget), full, budget)
         return None if part is None else (0, part)
+    tables = subset_tables(h, budget)
     for removed in _removals(h, r - 3, budget):
         keep = full & ~removed
         # chi(keep) >= r - chi(removed) >= 3, so chi(keep) == 3 iff keep is
         # 3-colourable; removing every vertex never qualifies, as chi(h) = r
-        if not tables.colourable(keep, 3, budget):
+        if _has_triangle(h.adj, keep) or not tables.colourable(keep, 3, budget):
             continue
         part = _near_acyclic_part(tables, keep, budget)
         if part is not None:

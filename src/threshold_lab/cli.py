@@ -4,8 +4,10 @@ Verb-style subcommands over the library: classification, threshold values,
 regime tables, witness constructions, and seeded experiments. Output is JSON
 (or a plain table for regime verbs) on stdout; diagnostics go to stderr.
 
-Exit codes: 0 success, 1 domain error, 2 budget or size cap exceeded, 3 parse
-or usage error, 141 stdout closed before the output was written (128 +
+Exit codes: 0 success, 1 domain error, 2 budget or size cap exceeded, or out
+of memory (the node budget does not bound bytes, so a verb that runs out of
+memory reports ``out of memory: ...`` like an exceeded budget), 3 parse or
+usage error, 141 stdout closed before the output was written (128 +
 SIGPIPE, as a shell reports a writer killed by a closed pipe). A closed
 stderr does not change the exit code: the diagnostic is dropped.
 """
@@ -344,6 +346,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _report(EXIT_USAGE, f"parse error: {exc}")
     except BudgetExceededError as exc:
         return _report(EXIT_BUDGET, f"budget exceeded: {exc}")
+    except MemoryError as exc:
+        return _report(EXIT_BUDGET, f"out of memory: {exc}")
     except DomainError as exc:
         return _report(EXIT_DOMAIN, f"domain error: {exc}")
     if not isinstance(out, str):  # a JSON payload, not a plain-text table

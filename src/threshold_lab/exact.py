@@ -248,22 +248,38 @@ class _SubsetTables:
         return self._chi
 
 
-def _facts(g: Graph) -> dict:
-    """The record of per-pattern facts of this ``Graph`` instance, made
-    empty on first use and never shared with another instance. It holds
-    ``"chi"`` and ``"tables"``, each added on first request and only once
-    complete, so a budget that runs out leaves nothing half built."""
+def _facts(g: Graph, parent: Optional[Graph] = None) -> dict:
+    """The record of per-pattern facts of this ``Graph`` instance, made on
+    first use and never shared with another instance. It holds ``"chi"``
+    and ``"tables"``, each added on first request and only once complete,
+    so a budget that runs out leaves nothing half built. A record made with
+    ``parent``, the graph that ``g`` is a merge of (two non-adjacent
+    vertices made one), starts as ``{"parent": parent}``, and ``pattern_chi``
+    reads chi(g) off chi(parent): a merge has the parent's chi or one
+    more."""
     if "_facts" not in g.__dict__:
-        object.__setattr__(g, "_facts", {})
+        object.__setattr__(g, "_facts", {} if parent is None else {"parent": parent})
     return g._facts
 
 
 def pattern_chi(g: Graph, budget=None) -> int:
-    """chi(g) from the record of ``g``: ``chromatic_number`` runs on the
-    first request only, and the recognisers of one pattern share it."""
+    """chi(g) from the record of ``g``, computed on the first request only,
+    so the recognisers of one pattern share it.
+
+    For a merge of ``parent`` that is one ``chi(parent)``-colourability
+    test. A colouring of the merge pulls back to the parent, so merging
+    never lowers chi, and giving the merged vertex a colour of its own
+    raises it by at most one. Otherwise ``chromatic_number`` runs. The
+    parent is dropped from the record once chi is known."""
     facts = _facts(g)
     if "chi" not in facts:
-        facts["chi"] = chromatic_number(g, budget)
+        parent = facts.get("parent")
+        if parent is None:
+            facts["chi"] = chromatic_number(g, budget)
+        else:
+            k = pattern_chi(parent, budget)
+            facts["chi"] = k if colouring_with(g, k, budget) is not None else k + 1
+            del facts["parent"]
     return facts["chi"]
 
 

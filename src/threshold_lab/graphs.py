@@ -225,6 +225,20 @@ def _degree_rows(adj, mask: int) -> tuple[int, ...]:
     return _induced_rows(adj, keep)
 
 
+def _has_triangle(adj, mask: int) -> bool:
+    """Whether the vertex mask ``mask`` induces a triangle in the rows
+    ``adj``. A triangle is seen from its least vertex ``v``: two neighbours
+    of ``v`` above it in ``mask`` that are adjacent."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        above = adj[low.bit_length() - 1] & mask
+        for u in bits(above):
+            if adj[u] & above:
+                return True
+    return False
+
+
 def _check_by_vertex(n: int, adj: tuple[int, ...]) -> None:
     """``Graph``'s check vertex by vertex, which names the first fault of
     rows that failed the whole-table check: for each vertex in ascending

@@ -21,7 +21,7 @@ from .classify import (
     is_thundercloud_forest,
 )
 from .atlas import _orbit_leaders
-from .exact import _min_code, canonical_form, pattern_chi, two_density
+from .exact import _facts, _min_code, canonical_form, pattern_chi, two_density
 from .formats import pack_graph6
 from .graphs import Graph, _degree_rows, bits
 
@@ -269,20 +269,28 @@ def quotients_with_partitions(h: Graph, budget=None
     The partition is the one carried along the merges, not the first in
     restricted-growth order. Each merge searched spends the nodes of its
     canonical search.
+
+    Each quotient but the first (``h`` itself) is recorded as a merge of
+    the quotient it came from (``exact._facts``). Merging two non-adjacent
+    vertices never lowers chi and raises it by at most one, so its chi,
+    the parent's or one more, costs one colourability test when it is
+    first asked for (``exact.pattern_chi``); the search spends nothing on
+    it.
     """
     budget = as_budget(budget, "quotients_with_partitions")
     if h.n > QUOTIENT_VERTEX_CAP:
         raise SizeCapExceededError("quotients_with_partitions",
                                    QUOTIENT_VERTEX_CAP, "vertices")
     code, _, gens = _min_code(h.n, h.adj, budget)
-    level = [(h.adj, [1 << v for v in range(h.n)], gens)]
-    yield Graph._trusted(h.n, h.adj), [[v] for v in range(h.n)], pack_graph6(h.n, code)
+    root = Graph._trusted(h.n, h.adj)
+    level = [(root, [1 << v for v in range(h.n)], gens)]
+    yield root, [[v] for v in range(h.n)], pack_graph6(h.n, code)
     while level:
         seen: set[int] = set()
         searched: set[tuple[int, ...]] = set()
         merged = []
-        for adj, classes, gens in level:
-            n = len(adj)
+        for parent, classes, gens in level:
+            adj, n = parent.adj, parent.n
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if not adj[i] >> j & 1]
             for i, j in _orbit_leaders(pairs, gens, _pair_image):
                 rows = _merge(adj, i, j)
@@ -296,9 +304,10 @@ def quotients_with_partitions(h: Graph, budget=None
                 seen.add(code)
                 parts = classes[:j] + classes[j + 1:]
                 parts[i] = classes[i] | classes[j]
-                merged.append((rows, parts, sub_gens))
-                yield (Graph._trusted(len(rows), rows), [list(bits(c)) for c in parts],
-                       pack_graph6(len(rows), code))
+                q = Graph._trusted(len(rows), rows)
+                _facts(q, parent)
+                merged.append((q, parts, sub_gens))
+                yield q, [list(bits(c)) for c in parts], pack_graph6(len(rows), code)
         level = merged
 
 

@@ -171,6 +171,31 @@ def test_alt_witness_clauses():
     assert all(sum(1 for u in g.neighbours(v) if u in fp) <= 1 for v in sj)
 
 
+@given(st.integers(3, 8), st.integers(0, 100), st.integers(0, 2**64 - 1), st.data())
+def test_a_triangle_rules_out_the_classes(n, percent, seed, data):
+    """An independent set meets a triangle at most once, so no cloud,
+    thundercloud or near-acyclic part exists, and an r-near-acyclic
+    witness keeps no triangle."""
+    a, b, c = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                                        unique=True)))
+    g = sample_gnp(GnpParams(n, f"{percent}/100", seed))
+    g = Graph.from_edges(n, g.edges() + [(a, b), (a, c), (b, c)])
+    for size in range(n + 1):
+        for part in combinations(range(n), size):
+            if is_independent_set(g, part):
+                assert not oracle_cloud_forest(g, part)
+                assert not oracle_thundercloud(g, part)
+                assert not oracle_near_acyclic(g, part)
+    assert is_cloud_forest(g) is None
+    assert is_thundercloud_forest(g) is None
+    assert is_near_acyclic(g) is None
+    got = is_r_near_acyclic(g, chromatic_number(g))  # chi >= 3 with a triangle
+    if got is not None:
+        removed = set().union(*map(set, got[0].sets))
+        kept = g.induced([v for v in range(n) if v not in removed])
+        assert not any(len(cycle) == 3 for cycle in all_cycles(kept))
+
+
 # -- near-acyclic and the r-generalisation -------------------------------------------
 
 

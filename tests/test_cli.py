@@ -184,6 +184,16 @@ def test_budget_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def runs_out(args, budget):
+        raise MemoryError("no room for the subset tables")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", runs_out)
+    code, out, err = run_cli(capsys, "classify", "--graph6", "DLo")
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "out of memory: no room for the subset tables\n"
+
+
 def test_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLD_LAB_BUDGET", "5")
     code, out, err = run_cli(capsys, "threshold", "--graph6", "DLo",

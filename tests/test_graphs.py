@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 from hypothesis import given, strategies as st
 import pytest
 
 from threshold_lab.errors import DomainError
-from threshold_lab.graphs import Graph, bits, is_bipartite
+from threshold_lab.graphs import Graph, _has_triangle, bits, is_bipartite
 
 
 def test_constructors_basic():
@@ -182,3 +183,14 @@ def test_bipartite_matches_oracle(n, percent, seed):
     g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
                              if rng.randrange(100) < percent])
     assert is_bipartite(g) == oracle_is_bipartite(g)
+
+
+@given(st.integers(0, 10), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_has_triangle_matches_every_vertex_triple(n, percent, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if rng.randrange(100) < percent])
+    mask = rng.getrandbits(n) if n else 0
+    assert _has_triangle(g.adj, mask) == any(
+        g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+        for a, b, c in combinations(bits(mask), 3))

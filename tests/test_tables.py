@@ -98,6 +98,17 @@ def test_chi_is_computed_once_and_kept_only_when_complete():
     assert "_facts" not in Graph(wheel.n, wheel.adj).__dict__
 
 
+def test_chi_of_a_merge_is_kept_only_when_complete():
+    wheel = Graph.from_edges(8, [(v, 7) for v in range(7)]
+                             + [(v, (v + 1) % 7) for v in range(7)])
+    root, merge = [q for q, _, _ in quotients_with_partitions(wheel)][:2]
+    assert pattern_chi(root) == 4  # so only the merge's own test spends
+    with pytest.raises(BudgetExceededError):
+        pattern_chi(merge, Budget(2))  # runs out inside the 4-colourability test
+    assert "chi" not in merge._facts
+    assert pattern_chi(merge) == chromatic_number(Graph(merge.n, merge.adj))
+
+
 SCANS = {
     "is_cloud_forest": is_cloud_forest,
     "is_thundercloud_forest": is_thundercloud_forest,

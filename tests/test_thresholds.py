@@ -7,7 +7,9 @@ import pytest
 from threshold_lab.atlas import _orbit_leaders
 from threshold_lab.constructions import blow_up
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
-from threshold_lab.exact import _min_code, are_isomorphic, canonical_form, chromatic_number
+from threshold_lab.exact import (
+    _min_code, are_isomorphic, canonical_form, chromatic_number, pattern_chi,
+)
 from threshold_lab.formats import pack_graph6, parse_graph6
 from threshold_lab.graphs import Graph, bits
 from threshold_lab.harness import GnpParams, sample_gnp
@@ -135,6 +137,20 @@ def test_quotients_include_self_and_are_valid():
             if q.n == g.n:
                 got_self = True
         assert got_self
+
+
+@settings(max_examples=50)  # a sparse 9-vertex pattern has about 2,000 classes
+@given(st.integers(1, 9), st.integers(0, 100), st.integers(0, 2**64 - 1))
+def test_chi_of_a_merge_is_the_parents_or_one_more(n, percent, seed):
+    p = sample_gnp(GnpParams(n, f"{percent}/100", seed))
+    chi = chromatic_number(p)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not p.has_edge(i, j):
+                rows = _merge(p.adj, i, j)
+                assert chromatic_number(Graph(len(rows), rows)) in (chi, chi + 1)
+    for q, _, _ in quotients_with_partitions(p):
+        assert pattern_chi(q) == chromatic_number(Graph(q.n, q.adj))
 
 
 def test_quotient_vertex_cap():
