@@ -259,8 +259,19 @@ def _cmd_zykov_search(args, budget) -> dict:
     return {"found": True, "spec": spec.to_json(), "embedding": list(emb.mapping)}
 
 
+def _rational(value, name: str) -> Fraction:
+    """``value``, the text of a flag or a JSON string or number from a
+    config, as an exact rational. Anything else is a parse error."""
+    if isinstance(value, (str, int, float)):  # JSON true reads as 1, as Fraction does
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):  # text, 1/0, NaN, Infinity
+            pass
+    raise ValueError(f"{name} is not a rational number: {value!r}")
+
+
 def _cmd_sample(args, budget) -> dict:
-    params = GnpParams(args.n, parse_probability(args.p), args.seed)
+    params = GnpParams(args.n, parse_probability(_rational(args.p, "p")), args.seed)
     g = sample_gnp(params)
     return {"params": params.to_json(),
             "graph6": write_graph6(g).decode("ascii"),
@@ -272,17 +283,25 @@ def _cmd_experiment(args, budget) -> dict:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    n = args.n if args.n is not None else cfg.get("n")
-    p = args.p if args.p is not None else cfg.get("p")
-    k = args.k if args.k is not None else cfg.get("k")
-    gamma = args.gamma if args.gamma is not None else cfg.get("gamma", "1/10")
-    d = args.d if args.d is not None else cfg.get("d", "3/5")
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{args.config}: config is not a JSON object")
+
+    def field(name, default=None):  # a flag overrides the config
+        flag = getattr(args, name)
+        return flag if flag is not None else cfg.get(name, default)
+
+    n, p, k = field("n"), field("p"), field("k")
     if n is None or p is None or k is None:
         raise _UsageError("experiment requires n, p, and k (flags or config)")
+    for name, value in (("n", n), ("k", k)):
+        if type(value) is not int:
+            raise ValueError(f"{name} is not an integer: {value!r}")
+    p = _rational(p, "p")
+    gamma = _rational(field("gamma", "1/10"), "gamma")
+    d = _rational(field("d", "3/5"), "d")
     template = make_template(Graph.complete(k), n, k)
     report = run_template_experiment(template, n, parse_probability(p),
-                                     args.seed, args.trials,
-                                     Fraction(gamma), Fraction(d), budget)
+                                     args.seed, args.trials, gamma, d, budget)
     return {"trials": report.trials, "successes": report.successes,
             "rng": RNG_NAME,
             "per_trial": list(report.per_trial), "summary": report.summary}
@@ -290,7 +309,7 @@ def _cmd_experiment(args, budget) -> dict:
 
 def _cmd_audit(args, budget) -> dict:
     g = _load_graph(args)
-    return check_ambient_properties(g, parse_probability(args.p),
+    return check_ambient_properties(g, parse_probability(_rational(args.p, "p")),
                                     args.set_size_cap, args.samples, args.seed)
 
 

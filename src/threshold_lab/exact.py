@@ -497,7 +497,8 @@ def _min_code(n: int, adj: Sequence[int], budget) -> tuple[int, list[int], list[
     """The least code over all vertex orderings as an ``n(n-1)/2``-bit int,
     an ordering that gives it, and automorphisms that generate the whole
     group of the graph, each a tuple ``perm`` with ``perm[v]`` the image of
-    ``v``. ``canonical_form`` describes the search.
+    ``v``: the twin swaps, then those found at leaves in the order found.
+    ``canonical_form`` describes the search.
 
     ``choose`` picks the independent set ``chosen``. ``place`` then extends
     ``seq``, the vertices placed after it, while ``scells`` splits
@@ -550,37 +551,6 @@ def _min_code(n: int, adj: Sequence[int], budget) -> tuple[int, list[int], list[
             gens.append(perm)
             moved.append(first | low)
     twin_swaps = len(gens)  # whose orbits the twin cut already covers
-    comps: list[int] = []
-    rest = full
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adj[low.bit_length() - 1]
-            frontier = reach & ~comp
-            comp |= frontier
-        rest ^= comp
-        if comp & (comp - 1):  # single vertices are twins already
-            comps.append(comp)
-    sizes = [comp.bit_count() for comp in comps]
-    kinds: dict[tuple[int, int], list[list[int]]] = {}
-    for comp, size in zip(comps, sizes):
-        if sizes.count(size) > 1:  # a component with a same-sized partner
-            verts = list(bits(comp))
-            local = [sum(1 << i for i, u in enumerate(verts) if adj[v] >> u & 1) for v in verts]
-            code, order, _ = _min_code(len(verts), local, budget)
-            kinds.setdefault((len(verts), code), []).append([verts[i] for i in order])
-    for same in kinds.values():  # equal codes: order[i] -> order'[i]
-        for i, a in enumerate(same):
-            for b in same[i + 1:]:
-                perm = list(range(n))
-                for x, y in zip(a, b):
-                    perm[x], perm[y] = y, x
-                gens.append(perm)
-                moved.append(sum(1 << x for x in a + b))
 
     def orbit_of(tried: int, fixed: int, stable: int) -> int:
         """The orbit of ``tried`` under the known automorphisms that fix
@@ -825,15 +795,16 @@ def canonical_form(g: Graph, budget=None) -> bytes:
       automorphism maps the sibling's subtree onto this one, so again both
       hold the same codes.
 
-    The automorphisms are the twin swaps, the swaps of two isomorphic
-    components (the search of each component gives the isomorphism) and
+    The automorphisms are the twin swaps, known before the search, and
     those found at leaves: two orderings with the same code differ by an
     automorphism (McKay, Congr. Numer. 30, 1981; McKay & Piperno, J. Symb.
     Comput. 60, 2014). It maps the branch that holds the best leaf, at the
     node where the two leaves part, onto the branch that holds the new one.
     The first branch was searched in full, so the search returns to that
     node; if the two leaves chose different sets ``S``, it leaves the new
-    set. The automorphisms found generate the whole group of ``g``.
+    set. The automorphisms found generate the whole group of ``g``, so a
+    swap of two isomorphic components, like any other automorphism, is a
+    product of them and needs no pass of its own.
 
     Every search node spends one unit of ``budget``.
     """

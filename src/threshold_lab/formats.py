@@ -16,26 +16,16 @@ def _decode_size(data: bytes):
     if not data:
         raise GraphFormatError("empty graph6 input", 0)
     b0 = data[0]
-    if b0 == 126:
-        if len(data) >= 2 and data[1] == 126:
-            chunk = data[2:8]
-            if len(chunk) < 6:
-                raise GraphFormatError("truncated graph6 size header", len(data))
-            n = 0
-            for i, b in enumerate(chunk):
-                if not 63 <= b <= 126:
-                    raise GraphFormatError(f"out-of-range byte {b}", 2 + i)
-                n = n << 6 | (b - 63)
-            return n, 8
-        chunk = data[1:4]
-        if len(chunk) < 3:
+    if b0 == 126:  # "~" and 3 digits, or "~~" and 6
+        start, end = (2, 8) if data[1:2] == b"~" else (1, 4)
+        if len(data) < end:
             raise GraphFormatError("truncated graph6 size header", len(data))
         n = 0
-        for i, b in enumerate(chunk):
-            if not 63 <= b <= 126:
-                raise GraphFormatError(f"out-of-range byte {b}", 1 + i)
-            n = n << 6 | (b - 63)
-        return n, 4
+        for i in range(start, end):
+            if not 63 <= data[i] <= 126:
+                raise GraphFormatError(f"out-of-range byte {data[i]}", i)
+            n = n << 6 | (data[i] - 63)
+        return n, end
     if not 63 <= b0 <= 126:
         raise GraphFormatError(f"out-of-range byte {b0} in size header", 0)
     return b0 - 63, 1

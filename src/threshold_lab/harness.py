@@ -84,7 +84,7 @@ def parse_probability(p: Union[str, float, int, Fraction]) -> Fraction:
     """
     q = Fraction(p)
     if not 0 <= q <= 1:
-        raise DomainError(f"probability {p!r} outside [0, 1]")
+        raise DomainError(f"probability {p} outside [0, 1]")
     return q
 
 

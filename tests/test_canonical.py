@@ -8,6 +8,7 @@ canonical_form must give the same bytes on every input.
 
 import random
 from itertools import combinations, permutations
+from math import factorial
 from typing import Optional
 
 from hypothesis import assume, given, strategies as st
@@ -181,12 +182,17 @@ def test_budget_only_turns_the_answer_into_an_error(n, seed, limit):
     assert code == canonical_form(h)
 
 
-def brute_force_leaders(g: Graph, items, image) -> list:
-    """The least item of each orbit of Aut(g) on ``items``, from every
-    permutation that is an automorphism; ``image`` maps an item by one."""
-    auts = [perm for perm in permutations(range(g.n))
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation of the vertices that is an automorphism of ``g``."""
+    return [perm for perm in permutations(range(g.n))
             if all(g.adj[perm[v]] == sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1)
                    for v in range(g.n))]
+
+
+def brute_force_leaders(g: Graph, items, image) -> list:
+    """The least item of each orbit of Aut(g) on ``items``; ``image`` maps
+    an item by one automorphism."""
+    auts = automorphisms(g)
     return sorted({min(image(perm, item) for perm in auts) for item in items})
 
 
@@ -212,3 +218,54 @@ def test_generators_give_the_whole_group(atlas_by_n):
             total += len(leaders[0])
         counts.append(total)
     assert counts == [1, 2, 6, 20, 90, 544, 5096]  # OEIS A000666
+
+
+def group_order(gens, n: int) -> int:
+    """The order of the group that ``gens`` generates, by closure. Each
+    permutation is a byte string, so ``translate`` composes two of them."""
+    tables = [bytes(g) + bytes(256 - n) for g in gens]
+    identity = bytes(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for p in frontier:
+            for table in tables:
+                q = p.translate(table)
+                if q not in group:
+                    group.add(q)
+                    new.append(q)
+        frontier = new
+    return len(group)
+
+
+def test_generators_of_isomorphic_components_give_the_wreath_product(atlas_by_n):
+    # Aut(kB) of k copies of a connected B is Aut(B) wr S_k: each copy
+    # maps onto itself by Aut(B), and the copies permute among themselves
+    rng = random.Random(2014)
+    for size in range(1, 5):
+        for base in atlas_by_n[size]:
+            if not base.is_connected():
+                continue
+            auts = len(automorphisms(base))
+            for k in range(1, 8 // size + 1):
+                edges = set()
+                for i in range(k):
+                    part = random_relabelling(base, rng)
+                    edges |= {(size * i + u, size * i + v) for u, v in part.edges()}
+                h = random_relabelling(Graph.from_edges(size * k, sorted(edges)), rng)
+                gens = _min_code(h.n, h.adj, Budget())[2]
+                assert group_order(gens, h.n) == auts ** k * factorial(k), \
+                    (write_graph6(base), k)
+
+
+def test_atlas_search_nodes_stay_at_their_bound(atlas_by_n):
+    rng = random.Random(1981)
+    total = 0
+    for g in atlas_by_n.up_to(7):
+        budget = Budget()
+        h = random_relabelling(g, rng)
+        _min_code(h.n, h.adj, budget)
+        total += budget.used
+    assert total <= 24_743  # with the component-swap generators; never spend more
+

@@ -241,6 +241,37 @@ def test_parse_time_usage_errors_exit_3(capsys, argv, message):
     assert (code, out) == (EXIT_USAGE, "") and message in err
 
 
+EXPERIMENT = ["experiment", "--trials", "1"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["sample", "--n", "3", "--p", "1/0"], None, "p is not a rational number: '1/0'"),
+    (["audit", "--graph6", "D?{", "--p", "1/0"], None, "p is not a rational number: '1/0'"),
+    (EXPERIMENT + ["--n", "20", "--p", "1/2", "--k", "3", "--gamma", "1/0"], None,
+     "gamma is not a rational number: '1/0'"),
+    (EXPERIMENT, [20, "1/2", 3], "config is not a JSON object"),
+    (EXPERIMENT, {"n": "20", "p": "1/2", "k": 3}, "n is not an integer: '20'"),
+    (EXPERIMENT, {"n": 20, "p": [1], "k": 3}, "p is not a rational number: [1]"),
+])
+def test_malformed_numbers_exit_3(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("parse error: ") and message in err
+
+
+def test_config_numbers_read_as_the_flags_do(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 20, "p": 0.5, "k": 3, "gamma": 0.25, "d": "3/5"}))
+    from_config = run_json(capsys, *EXPERIMENT, "--config", str(path))
+    from_flags = run_json(capsys, *EXPERIMENT, "--n", "20", "--p", "1/2", "--k", "3",
+                          "--gamma", "1/4")
+    assert from_config == from_flags
+
+
 def test_budget_env_only_read_by_verbs_with_budget(capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLD_LAB_BUDGET", "x")
     run_json(capsys, "sample", "--n", "3", "--p", "0.5")

@@ -122,6 +122,31 @@ def test_malformed_graph6():
     assert err is not None and err.offset is not None
 
 
+def _out_of_range_at(header: bytes, i: int, byte: int) -> tuple:
+    """``header`` with its ``i``-th byte replaced, and the fault it gives."""
+    return header[:i] + bytes([byte]) + header[i + 1:], f"out-of-range byte {byte}", i
+
+
+HEADER_FAULTS = [
+    (b"", "empty graph6 input", 0),
+    (b"~", "truncated graph6 size header", 1),
+    (b"~??", "truncated graph6 size header", 3),
+    (b"~~", "truncated graph6 size header", 2),
+    (b"~~?????", "truncated graph6 size header", 7),
+    (b"\x3e", "out-of-range byte 62 in size header", 0),
+    (b"\x7f", "out-of-range byte 127 in size header", 0),
+] + [_out_of_range_at(b"~???", i, byte) for i in (1, 2, 3) for byte in (62, 127)] \
+  + [_out_of_range_at(b"~~??????", i, byte) for i in range(2, 8) for byte in (62, 127)]
+
+
+@pytest.mark.parametrize("data,message,offset", HEADER_FAULTS)
+def test_size_header_faults_name_their_byte(data, message, offset):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph6(data)
+    assert info.value.offset == offset
+    assert str(info.value) == f"{message} (byte offset {offset})"
+
+
 def test_edge_list_roundtrip():
     g = Graph.cycle(6)
     text = write_edge_list(g)
