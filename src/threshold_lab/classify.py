@@ -7,8 +7,9 @@ lexicographically within a size, and return the first witness found, so
 outputs are deterministic. They read chi of the pattern (``exact.pattern_chi``)
 and, from its subset tables (``exact.subset_tables``), whether a vertex set
 is independent, induces a forest, or has a given chromatic number; both live
-in the pattern's record, so each is computed once per pattern. The removal
-sets of the decomposition-family scans come from one walk, ``_removals``.
+in the pattern's record, so each is computed once per pattern. The class
+scans walk one generator, ``_forest_parts``, and the decomposition-family
+scans another, ``_removals``.
 
 The r-near-acyclic and forest-in-family scans come in two parts: a search
 over masks (``_r_near_acyclic_masks``, ``_forest_removal``) returns the
@@ -81,39 +82,28 @@ def _mask_tuple(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def is_cloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
-    """First independent cloud I (by size, then lex) whose complement is a
-    forest receiving I-edges only at leaves/isolated vertices, with no two
-    adjacent leaves both attached to I. ``None`` at once if ``h`` has a
-    triangle: its two vertices outside I would be such leaves."""
-    budget = as_budget(budget, "is_cloud_forest")
-    full = (1 << h.n) - 1
-    if _has_triangle(h.adj, full):
-        return None
-    tables = subset_tables(h, budget)
-    for cloud in tables.indep_by_size:
+def _forest_parts(tables, keep: int, budget) -> Iterator[int]:
+    """Each independent part I inside ``keep`` whose rest ``keep - I``
+    induces a forest, by size and then value. One node is spent per
+    independent mask of the pattern, inside ``keep`` or not. The masks
+    inside ``keep`` come in the order of the same sets in the graph induced
+    by ``keep`` relabelled ascending, so the first witness is the same."""
+    for part in tables.indep_by_size:
         budget.spend()
-        if _cloud_conditions(h, tables, cloud, full & ~cloud):
-            return CloudForestWitness(_mask_tuple(cloud), _mask_tuple(full & ~cloud))
-    return None
+        if not part & ~keep and tables.forest[keep & ~part]:
+            yield part
 
 
-def _cloud_conditions(h: Graph, tables, cloud: int, rest: int) -> bool:
-    if not tables.forest[rest]:
-        return False
-    rest_vertices = list(bits(rest))
-    deg_f = {v: (h.adj[v] & rest).bit_count() for v in rest_vertices}
-    touched = {v: bool(h.adj[v] & cloud) for v in rest_vertices}
-    for v in rest_vertices:
-        if touched[v] and deg_f[v] > 1:
-            return False  # cloud edge lands on an internal forest vertex
-    for v in rest_vertices:
-        if deg_f[v] != 1:
-            continue
-        for u in bits(h.adj[v] & rest):
-            if u > v and deg_f[u] == 1 and touched[v] and touched[u]:
-                return False  # two adjacent leaves both send edges to the cloud
-    return True
+def _cloud_conditions(h: Graph, cloud: int, rest: int) -> bool:
+    """Whether the forest ``rest`` takes edges from ``cloud`` only at
+    vertices of forest degree <= 1, no two of them adjacent (so leaves)."""
+    touched = low = 0  # forest vertices with a cloud neighbour; of forest degree <= 1
+    for v in bits(rest):
+        if h.adj[v] & cloud:
+            touched |= 1 << v
+        if (h.adj[v] & rest).bit_count() <= 1:
+            low |= 1 << v
+    return not (touched & ~low) and not any(h.adj[v] & touched for v in bits(touched))
 
 
 def _odd_cycles_meet_twice(tables, part: int, rest: int) -> bool:
@@ -125,22 +115,34 @@ def _odd_cycles_meet_twice(tables, part: int, rest: int) -> bool:
     return all(tables.bipartite(rest | 1 << v) for v in bits(part))
 
 
-def is_thundercloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
-    """A cloud-forest witness whose cloud also meets every odd cycle twice.
-    ``None`` at once if ``h`` has a triangle, which an independent cloud
-    meets at most once."""
-    budget = as_budget(budget, "is_thundercloud_forest")
+def _cloud_forest(h: Graph, thunder: bool, budget) -> Optional[CloudForestWitness]:
+    """The first cloud-forest witness of ``h``, with ``thunder`` the first
+    whose cloud also meets every odd cycle twice; ``None`` on a triangle."""
     full = (1 << h.n) - 1
     if _has_triangle(h.adj, full):
         return None
     tables = subset_tables(h, budget)
-    for cloud in tables.indep_by_size:
-        budget.spend()
+    for cloud in _forest_parts(tables, full, budget):
         rest = full & ~cloud
-        if _cloud_conditions(h, tables, cloud, rest) \
-                and _odd_cycles_meet_twice(tables, cloud, rest):
+        if _cloud_conditions(h, cloud, rest) \
+                and (not thunder or _odd_cycles_meet_twice(tables, cloud, rest)):
             return CloudForestWitness(_mask_tuple(cloud), _mask_tuple(rest))
     return None
+
+
+def is_cloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
+    """First independent cloud I (by size, then lex) whose complement is a
+    forest receiving I-edges only at leaves/isolated vertices, with no two
+    adjacent leaves both attached to I. ``None`` at once if ``h`` has a
+    triangle: its two vertices outside I would be such leaves."""
+    return _cloud_forest(h, False, as_budget(budget, "is_cloud_forest"))
+
+
+def is_thundercloud_forest(h: Graph, budget=None) -> Optional[CloudForestWitness]:
+    """A cloud-forest witness whose cloud also meets every odd cycle twice.
+    ``None`` at once if ``h`` has a triangle, which an independent cloud
+    meets at most once."""
+    return _cloud_forest(h, True, as_budget(budget, "is_thundercloud_forest"))
 
 
 def is_cloud_forest_alt(h: Graph, budget=None) -> Optional[CloudForestAltWitness]:
@@ -172,19 +174,9 @@ def is_cloud_forest_alt(h: Graph, budget=None) -> Optional[CloudForestAltWitness
 def _near_acyclic_part(tables, keep: int, budget) -> Optional[int]:
     """First independent I inside ``keep`` (by size, then value) such that
     ``keep - I`` induces a forest and every odd cycle of the graph induced
-    by ``keep`` meets I twice. The caller checks that this graph has chi 3.
-
-    Masks inside ``keep`` come in the order that the same sets have in the
-    induced graph relabelled in ascending order, so the first witness is
-    the same."""
-    for part in tables.indep_by_size:
-        budget.spend()
-        if part & ~keep:
-            continue
-        rest = keep & ~part
-        if tables.forest[rest] and _odd_cycles_meet_twice(tables, part, rest):
-            return part
-    return None
+    by ``keep`` meets I twice. The caller checks that this graph has chi 3."""
+    return next((part for part in _forest_parts(tables, keep, budget)
+                 if _odd_cycles_meet_twice(tables, part, keep & ~part)), None)
 
 
 def is_near_acyclic(h: Graph, budget=None) -> Optional[NearAcyclicWitness]:

@@ -76,7 +76,7 @@ def _add_graph_input(sub):
 
 
 def _add_budget(sub):
-    sub.add_argument("--budget", type=int,
+    sub.add_argument("--budget", type=_int_at_least(0),
                      help="node budget shared by every search of the verb")
 
 
@@ -160,9 +160,9 @@ def _budget(args) -> Budget:
     env = os.environ.get("THRESHOLD_LAB_BUDGET")
     if limit is None and env is not None and hasattr(args, "budget"):
         try:
-            limit = int(env)
-        except ValueError:
-            raise _UsageError("THRESHOLD_LAB_BUDGET must be an integer")
+            limit = _int_at_least(0)(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise _UsageError("THRESHOLD_LAB_BUDGET must be an integer of at least 0")
     return Budget(limit, args.verb)
 
 
@@ -206,16 +206,11 @@ def _cmd_classify(args, budget) -> dict:
 
 
 def _cmd_threshold(args, budget) -> dict:
-    h = _load_graph(args)
-    value, witness = chromatic_threshold(h, budget)
-    return {"delta_chi": str(value.lo), "value": value.to_json(), "witness": witness}
-
-
-def _cmd_threshold_star(args, budget) -> dict:
-    h = _load_graph(args)
-    value, witness = chromatic_threshold_star(h, budget)
-    return {"delta_chi_star": str(value.lo), "value": value.to_json(),
-            "witness": witness}
+    star = args.verb == "threshold-star"
+    solve = chromatic_threshold_star if star else chromatic_threshold
+    value, witness = solve(_load_graph(args), budget)
+    return {"delta_chi_star" if star else "delta_chi": str(value.lo),
+            "value": value.to_json(), "witness": witness}
 
 
 def _regime_lines(table) -> str:
@@ -262,7 +257,8 @@ def _cmd_zykov_search(args, budget) -> dict:
 def _rational(value, name: str) -> Fraction:
     """``value``, the text of a flag or a JSON string or number from a
     config, as an exact rational. Anything else is a parse error."""
-    if isinstance(value, (str, int, float)):  # JSON true reads as 1, as Fraction does
+    # JSON true and false read as Python ints, but they are not numbers
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError):  # text, 1/0, NaN, Infinity
@@ -285,6 +281,9 @@ def _cmd_experiment(args, budget) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"{args.config}: config is not a JSON object")
+        unknown = sorted(cfg.keys() - {"n", "p", "k", "gamma", "d"})
+        if unknown:
+            raise _UsageError(f"{args.config}: unknown config fields {unknown}")
 
     def field(name, default=None):  # a flag overrides the config
         flag = getattr(args, name)
@@ -316,7 +315,7 @@ def _cmd_audit(args, budget) -> dict:
 _COMMANDS = {
     "classify": _cmd_classify,
     "threshold": _cmd_threshold,
-    "threshold-star": _cmd_threshold_star,
+    "threshold-star": _cmd_threshold,
     "regimes": _cmd_regimes,
     "regimes-star": _cmd_regimes,
     "zykov": _cmd_zykov,

@@ -7,7 +7,7 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -112,8 +112,8 @@ class PBoundary:
         return out
 
 
-def _b(kind, exponent=None, side="open-below"):
-    return PBoundary(kind, Fraction(exponent) if exponent is not None else None, side)
+def _b(kind, exponent=None):
+    return PBoundary(kind, Fraction(exponent) if exponent is not None else None)
 
 
 @dataclass(frozen=True)
@@ -417,114 +417,77 @@ SRC_STAR_SPARSE = "approximate threshold is 1 between log n / n and the 2-densit
 SRC_M2_UNDEFINED = "2-density is undefined or degenerate for this pattern"
 
 
+def _chain(steps) -> RegimeTable:
+    """The rows of a regime table from steps ``(value, source, lower)``,
+    densest first. Each row runs from where the previous one ended, first
+    from constant p, down to the scale ``lower``, or all the way down if
+    ``lower`` is None. A row is open below its upper boundary and open
+    above its lower one, except for a step that stays at the scale it
+    starts from: that is the row ``p = Theta(lower)``, which keeps the side
+    it starts on and ends open below, where the next row starts. A value
+    of None is unknown, with the source as its note."""
+    rows, edge = [], _b("Constant")
+    for value, source, lower in steps:
+        if lower is not None and lower.order_key() == edge.order_key():
+            upper, lower = edge, replace(lower, side="open-below")
+        else:
+            upper = replace(edge, side="open-below")
+            lower = None if lower is None else replace(lower, side="open-above")
+        value = ThresholdValue.unknown(source) if value is None else value
+        rows.append(RegimeRow(upper, lower, value, source))
+        edge = lower
+    return RegimeTable(tuple(rows))
+
+
 def regime_table(h: Graph, budget=None) -> RegimeTable:
-    """Piecewise table of the threshold as a function of the density p."""
+    """Piecewise table of the threshold as a function of the density p.
+
+    With chi >= 3, ``h`` has an induced odd cycle ``C_k``, whose
+    ``(k-1)/(k-2)`` is above 1, so ``1/m2`` is a valid exponent."""
     budget = as_budget(budget, "regime_table")
     if h.edge_count() == 0:
         raise DomainError("regime table needs at least one edge")
     delta, _ = chromatic_threshold(h, budget)
-    rows = [RegimeRow(_b("Constant"), _b("Constant"), delta, SRC_CONSTANT)]
+    steps = [(delta, SRC_CONSTANT, _b("Constant"))]
     r = pattern_chi(h, budget)
     if r == 2:
-        rows.append(RegimeRow(_b("Constant", side="open-below"), _b("LogOverN", side="open-above"),
-                              ThresholdValue.exact(0), SRC_BIPARTITE))
-        rows.append(RegimeRow(_b("LogOverN", side="open-below"), None,
-                              ThresholdValue.exact(0), SRC_TRIVIAL_SPARSE))
-        return RegimeTable(tuple(rows))
-
-    m2 = two_density(h, budget)
-
-    if r >= 4:
-        if m2 <= 1:
-            rows.append(RegimeRow(_b("Constant", side="open-below"), None,
-                                  ThresholdValue.unknown(SRC_M2_UNDEFINED), SRC_M2_UNDEFINED))
-            return RegimeTable(tuple(rows))
-        inv_m2 = 1 / m2
-        dense_lo = min(inv_m2, Fraction(1, 2))
-        rows.append(RegimeRow(_b("Constant", side="open-below"),
-                              _b("PowerOfN", dense_lo, side="open-above"),
-                              ThresholdValue.exact(Fraction(r - 2, r - 1)),
-                              SRC_DENSE_HIGH_CHI))
-        if dense_lo < inv_m2:
-            rows.append(RegimeRow(_b("PowerOfN", dense_lo, side="open-below"),
-                                  _b("PowerOfN", inv_m2, side="open-above"),
-                                  ThresholdValue.unknown(SRC_SPARSE_4CHI_OPEN),
-                                  SRC_SPARSE_4CHI_OPEN))
-        rows.append(RegimeRow(_b("PowerOfN", inv_m2, side="open-above"),
-                              _b("PowerOfN", inv_m2, side="open-below"),
-                              ThresholdValue.unknown(SRC_BOUNDARY_OPEN),
-                              SRC_BOUNDARY_OPEN))
-        if r >= 5 or m2 > 2:
-            sparse_value = ThresholdValue.exact(1)
-            sparse_src = SRC_SPARSE_ONE
-        else:
-            sparse_value = ThresholdValue.unknown(SRC_SPARSE_4CHI_OPEN)
-            sparse_src = SRC_SPARSE_4CHI_OPEN
-        rows.append(RegimeRow(_b("PowerOfN", inv_m2, side="open-below"),
-                              _b("LogOverN", side="open-above"),
-                              sparse_value, sparse_src))
-        rows.append(RegimeRow(_b("LogOverN", side="open-below"), None,
-                              ThresholdValue.exact(0), SRC_TRIVIAL_SPARSE))
-        return RegimeTable(tuple(rows))
-
-    # r == 3
-    cycle = _is_cycle(h)
-    if cycle and h.n == 5:
-        rows.append(RegimeRow(_b("Constant", side="open-below"),
-                              _b("PowerOfN", Fraction(1, 2), side="open-above"),
-                              ThresholdValue.exact(Fraction(1, 3)), SRC_C5_DISPLAY))
-        rows.append(RegimeRow(_b("PowerOfN", Fraction(1, 2), side="open-below"),
-                              _b("PowerOfN", Fraction(3, 4), side="open-above"),
-                              ThresholdValue.exact(Fraction(1, 2)), SRC_C5_DISPLAY))
-        rows.append(RegimeRow(_b("PowerOfN", Fraction(3, 4), side="open-below"),
-                              _b("LogOverN", side="open-above"),
-                              ThresholdValue.exact(1), SRC_C5_DISPLAY))
-        rows.append(RegimeRow(_b("LogOverN", side="open-below"), None,
-                              ThresholdValue.exact(0), SRC_TRIVIAL_SPARSE))
-        return RegimeTable(tuple(rows))
-
-    if cycle and h.n >= 7:
-        dense_value = ThresholdValue.exact(0)
-        dense_src = SRC_ODD_CYCLE
-    elif is_cloud_forest(h, budget) is None:
-        dense_value = ThresholdValue.exact(Fraction(1, 2))
-        dense_src = SRC_DENSE_3CHI
-    elif is_thundercloud_forest(h, budget) is None:
-        dense_value = ThresholdValue.exact(Fraction(1, 3))
-        dense_src = SRC_DENSE_3CHI
+        steps.append((ThresholdValue.exact(0), SRC_BIPARTITE, _b("LogOverN")))
+    elif r >= 4:
+        m2 = two_density(h, budget)
+        dense_lo = min(1 / m2, Fraction(1, 2))
+        steps.append((ThresholdValue.exact(Fraction(r - 2, r - 1)), SRC_DENSE_HIGH_CHI,
+                      _b("PowerOfN", dense_lo)))
+        if dense_lo < 1 / m2:
+            steps.append((None, SRC_SPARSE_4CHI_OPEN, _b("PowerOfN", 1 / m2)))
+        steps.append((None, SRC_BOUNDARY_OPEN, _b("PowerOfN", 1 / m2)))
+        sparse = (ThresholdValue.exact(1), SRC_SPARSE_ONE) if r >= 5 or m2 > 2 \
+            else (None, SRC_SPARSE_4CHI_OPEN)
+        steps.append((*sparse, _b("LogOverN")))
+    elif _is_cycle(h) and h.n == 5:
+        steps += [(ThresholdValue.exact(Fraction(1, 3)), SRC_C5_DISPLAY, _b("PowerOfN", "1/2")),
+                  (ThresholdValue.exact(Fraction(1, 2)), SRC_C5_DISPLAY, _b("PowerOfN", "3/4")),
+                  (ThresholdValue.exact(1), SRC_C5_DISPLAY, _b("LogOverN"))]
     else:
-        dense_value = ThresholdValue.interval(0, Fraction(1, 3), SRC_THUNDER_CONJ)
-        dense_src = SRC_DENSE_3CHI
-    rows.append(RegimeRow(_b("Constant", side="open-below"),
-                          _b("SubpolynomialOne", side="open-above"),
-                          dense_value, dense_src))
-    rows.append(RegimeRow(_b("SubpolynomialOne", side="open-below"),
-                          _b("LogOverN", side="open-above"),
-                          ThresholdValue.unknown(SRC_3CHI_SPARSE_OPEN),
-                          SRC_3CHI_SPARSE_OPEN))
-    rows.append(RegimeRow(_b("LogOverN", side="open-below"), None,
-                          ThresholdValue.exact(0), SRC_TRIVIAL_SPARSE))
-    return RegimeTable(tuple(rows))
+        if _is_cycle(h) and h.n >= 7:
+            dense = ThresholdValue.exact(0), SRC_ODD_CYCLE
+        elif is_cloud_forest(h, budget) is None:
+            dense = ThresholdValue.exact(Fraction(1, 2)), SRC_DENSE_3CHI
+        elif is_thundercloud_forest(h, budget) is None:
+            dense = ThresholdValue.exact(Fraction(1, 3)), SRC_DENSE_3CHI
+        else:
+            dense = ThresholdValue.interval(0, Fraction(1, 3), SRC_THUNDER_CONJ), SRC_DENSE_3CHI
+        steps += [(*dense, _b("SubpolynomialOne")),
+                  (None, SRC_3CHI_SPARSE_OPEN, _b("LogOverN"))]
+    steps.append((ThresholdValue.exact(0), SRC_TRIVIAL_SPARSE, None))
+    return _chain(steps)
 
 
 def regime_table_star(h: Graph, budget=None) -> RegimeTable:
     """Two-row table for the approximate threshold."""
     budget = as_budget(budget, "regime_table_star")
     star, _ = chromatic_threshold_star(h, budget)
-    if h.n >= 3:
-        m2 = two_density(h, budget)
-    else:
-        m2 = None
+    m2 = two_density(h, budget) if h.n >= 3 else None
     if m2 is None or m2 <= 1:
-        return RegimeTable((
-            RegimeRow(_b("Constant"), None,
-                      ThresholdValue.unknown(SRC_M2_UNDEFINED), SRC_M2_UNDEFINED),
-        ))
-    inv_m2 = 1 / m2
-    return RegimeTable((
-        RegimeRow(_b("Constant"), _b("PowerOfN", inv_m2, side="open-above"),
-                  star, SRC_STAR_DENSE),
-        RegimeRow(_b("PowerOfN", inv_m2, side="open-below"),
-                  _b("LogOverN", side="open-above"),
-                  ThresholdValue.exact(1), SRC_STAR_SPARSE),
-    ))
+        return _chain([(None, SRC_M2_UNDEFINED, None)])
+    return _chain([(star, SRC_STAR_DENSE, _b("PowerOfN", 1 / m2)),
+                   (ThresholdValue.exact(1), SRC_STAR_SPARSE, _b("LogOverN"))])

@@ -19,7 +19,8 @@ from threshold_lab.classify import (
 from threshold_lab.constructions import blow_up
 from threshold_lab.errors import Budget, DomainError
 from threshold_lab.exact import (
-    are_isomorphic, canonical_form, chromatic_number, masks_by_size, subset_tables,
+    are_isomorphic, canonical_form, chromatic_number, masks_by_size, pattern_chi,
+    subset_tables,
 )
 from threshold_lab.graphs import Graph
 from threshold_lab.harness import GnpParams, sample_gnp
@@ -298,3 +299,26 @@ def test_forest_removal_witness_is_valid():
     removed = set().union(*map(set, seq.sets))
     rest = h.induced([v for v in range(4) if v not in removed])
     assert rest.is_forest()
+
+
+# -- nodes of the scans ---------------------------------------------------------------
+
+
+def test_scans_spend_the_nodes_of_their_separate_walks(atlas_by_n):
+    # Each scan on a fresh instance, so it builds its own record, with the
+    # default budget, summed over the atlas up to 7 vertices. The shared walk
+    # ``_forest_parts`` spends one node per independent mask it visits, and a
+    # scan that visited more masks, or charged more per mask, would move these.
+    spent = dict.fromkeys(["cloud", "thunder", "near", "r_near"], 0)
+    scans = {"cloud": is_cloud_forest, "thunder": is_thundercloud_forest,
+             "near": is_near_acyclic, "r_near": is_r_near_acyclic}
+    for g in atlas_by_n.up_to(7):
+        chi = pattern_chi(g)
+        for name, scan in scans.items():
+            budget = Budget()
+            if name != "r_near":
+                scan(Graph._trusted(g.n, g.adj), budget)
+            elif chi >= 3:
+                scan(Graph._trusted(g.n, g.adj), chi, budget)
+            spent[name] += budget.used
+    assert spent == {"cloud": 17_590, "thunder": 18_066, "near": 3_648, "r_near": 74_744}

@@ -235,6 +235,7 @@ def test_each_verb_takes_exactly_its_flags():
     (["audit", "--graph6", "D?{", "--p", "0.5", "--samples", "-2"], "--samples: -2 is below 1"),
     (["experiment", "--n", "40", "--p", "0.5", "--k", "3", "--trials", "-1"],
      "--trials: -1 is below 0"),
+    (["classify", "--graph6", "Bw", "--budget", "-5"], "--budget: -5 is below 0"),
 ])
 def test_parse_time_usage_errors_exit_3(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -252,6 +253,10 @@ EXPERIMENT = ["experiment", "--trials", "1"]
     (EXPERIMENT, [20, "1/2", 3], "config is not a JSON object"),
     (EXPERIMENT, {"n": "20", "p": "1/2", "k": 3}, "n is not an integer: '20'"),
     (EXPERIMENT, {"n": 20, "p": [1], "k": 3}, "p is not a rational number: [1]"),
+    (EXPERIMENT, {"n": 20, "p": True, "k": 3}, "p is not a rational number: True"),
+    (EXPERIMENT, {"n": 20, "p": "1/2", "k": 3, "gamma": False},
+     "gamma is not a rational number: False"),
+    (EXPERIMENT, {"n": 20, "p": "1/2", "k": 3, "d": True}, "d is not a rational number: True"),
 ])
 def test_malformed_numbers_exit_3(capsys, tmp_path, argv, config, message):
     if config is not None:
@@ -270,6 +275,29 @@ def test_config_numbers_read_as_the_flags_do(capsys, tmp_path):
     from_flags = run_json(capsys, *EXPERIMENT, "--n", "20", "--p", "1/2", "--k", "3",
                           "--gamma", "1/4")
     assert from_config == from_flags
+
+
+def test_unknown_config_fields_exit_3(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 20, "p": "1/2", "k": 3, "trials": 2, "seed": 9}))
+    code, out, err = run_cli(capsys, *EXPERIMENT, "--config", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"usage error: {path}: unknown config fields ['seed', 'trials']\n"
+
+
+def test_negative_budget_in_the_environment_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("THRESHOLD_LAB_BUDGET", "-5")
+    code, out, err = run_cli(capsys, "classify", "--graph6", "Bw")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "usage error: THRESHOLD_LAB_BUDGET must be an integer of at least 0\n"
+
+
+def test_a_budget_of_zero_is_valid(capsys, monkeypatch):
+    for env, flags in (("0", []), ("5", ["--budget", "0"])):
+        monkeypatch.setenv("THRESHOLD_LAB_BUDGET", env)
+        code, out, err = run_cli(capsys, "classify", "--graph6", "Bw", *flags)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "budget exceeded: classify: search budget of 0 nodes exceeded\n"
 
 
 def test_budget_env_only_read_by_verbs_with_budget(capsys, monkeypatch):

@@ -4,7 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from threshold_lab import thresholds
 from threshold_lab.atlas import _orbit_leaders
+from threshold_lab.classify import is_cloud_forest, is_thundercloud_forest
 from threshold_lab.constructions import blow_up
 from threshold_lab.errors import Budget, BudgetExceededError, DomainError
 from threshold_lab.exact import (
@@ -14,6 +16,9 @@ from threshold_lab.formats import pack_graph6, parse_graph6
 from threshold_lab.graphs import Graph, bits
 from threshold_lab.harness import GnpParams, sample_gnp
 from threshold_lab.thresholds import (
+    SRC_3CHI_SPARSE_OPEN, SRC_BIPARTITE, SRC_BOUNDARY_OPEN, SRC_C5_DISPLAY, SRC_CONSTANT,
+    SRC_DENSE_3CHI, SRC_DENSE_HIGH_CHI, SRC_M2_UNDEFINED, SRC_ODD_CYCLE, SRC_SPARSE_4CHI_OPEN,
+    SRC_SPARSE_ONE, SRC_STAR_DENSE, SRC_STAR_SPARSE, SRC_THUNDER_CONJ, SRC_TRIVIAL_SPARSE,
     PBoundary,
     RegimeRow,
     RegimeTable,
@@ -446,3 +451,128 @@ def test_table_json_shape():
     assert row["range"]["hi"]["exp"] == "1/2"
     assert row["value"] == {"kind": "Exact", "v": "1/2"}
     assert isinstance(row["source"], str)
+
+
+# -- regime tables against the row-by-row oracle -------------------------------------
+
+
+def boundary(kind, exponent=None, side="open-below"):
+    return PBoundary(kind, None if exponent is None else Fraction(exponent), side)
+
+
+def oracle_regime_table(h: Graph) -> RegimeTable:
+    """The regime table written out row by row, with the side of each
+    boundary named at each row; it reads the 2-density through the module,
+    so a test can patch it on both sides."""
+    delta, _ = chromatic_threshold(h)
+    rows = [RegimeRow(boundary("Constant"), boundary("Constant"), delta, SRC_CONSTANT)]
+    r = pattern_chi(h)
+    if r == 2:
+        rows.append(RegimeRow(boundary("Constant"), boundary("LogOverN", side="open-above"),
+                              exact(0), SRC_BIPARTITE))
+        rows.append(RegimeRow(boundary("LogOverN"), None, exact(0), SRC_TRIVIAL_SPARSE))
+        return RegimeTable(tuple(rows))
+    m2 = thresholds.two_density(h)
+    if r >= 4:
+        if m2 <= 1:
+            rows.append(RegimeRow(boundary("Constant"), None,
+                                  ThresholdValue.unknown(SRC_M2_UNDEFINED), SRC_M2_UNDEFINED))
+            return RegimeTable(tuple(rows))
+        inv_m2 = 1 / m2
+        dense_lo = min(inv_m2, Fraction(1, 2))
+        rows.append(RegimeRow(boundary("Constant"), boundary("PowerOfN", dense_lo, "open-above"),
+                              exact(Fraction(r - 2, r - 1)), SRC_DENSE_HIGH_CHI))
+        if dense_lo < inv_m2:
+            rows.append(RegimeRow(boundary("PowerOfN", dense_lo),
+                                  boundary("PowerOfN", inv_m2, "open-above"),
+                                  ThresholdValue.unknown(SRC_SPARSE_4CHI_OPEN),
+                                  SRC_SPARSE_4CHI_OPEN))
+        rows.append(RegimeRow(boundary("PowerOfN", inv_m2, "open-above"),
+                              boundary("PowerOfN", inv_m2),
+                              ThresholdValue.unknown(SRC_BOUNDARY_OPEN), SRC_BOUNDARY_OPEN))
+        if r >= 5 or m2 > 2:
+            sparse_value, sparse_src = exact(1), SRC_SPARSE_ONE
+        else:
+            sparse_value = ThresholdValue.unknown(SRC_SPARSE_4CHI_OPEN)
+            sparse_src = SRC_SPARSE_4CHI_OPEN
+        rows.append(RegimeRow(boundary("PowerOfN", inv_m2), boundary("LogOverN", side="open-above"),
+                              sparse_value, sparse_src))
+        rows.append(RegimeRow(boundary("LogOverN"), None, exact(0), SRC_TRIVIAL_SPARSE))
+        return RegimeTable(tuple(rows))
+    cycle = h.is_connected() and all(h.degree(v) == 2 for v in range(h.n))
+    if cycle and h.n == 5:
+        rows.append(RegimeRow(boundary("Constant"), boundary("PowerOfN", "1/2", "open-above"),
+                              exact(Fraction(1, 3)), SRC_C5_DISPLAY))
+        rows.append(RegimeRow(boundary("PowerOfN", "1/2"),
+                              boundary("PowerOfN", "3/4", "open-above"),
+                              exact(Fraction(1, 2)), SRC_C5_DISPLAY))
+        rows.append(RegimeRow(boundary("PowerOfN", "3/4"), boundary("LogOverN", side="open-above"),
+                              exact(1), SRC_C5_DISPLAY))
+        rows.append(RegimeRow(boundary("LogOverN"), None, exact(0), SRC_TRIVIAL_SPARSE))
+        return RegimeTable(tuple(rows))
+    if cycle and h.n >= 7:
+        dense_value, dense_src = exact(0), SRC_ODD_CYCLE
+    elif is_cloud_forest(h) is None:
+        dense_value, dense_src = exact(Fraction(1, 2)), SRC_DENSE_3CHI
+    elif is_thundercloud_forest(h) is None:
+        dense_value, dense_src = exact(Fraction(1, 3)), SRC_DENSE_3CHI
+    else:
+        dense_value = ThresholdValue.interval(0, Fraction(1, 3), SRC_THUNDER_CONJ)
+        dense_src = SRC_DENSE_3CHI
+    rows.append(RegimeRow(boundary("Constant"), boundary("SubpolynomialOne", side="open-above"),
+                          dense_value, dense_src))
+    rows.append(RegimeRow(boundary("SubpolynomialOne"), boundary("LogOverN", side="open-above"),
+                          ThresholdValue.unknown(SRC_3CHI_SPARSE_OPEN), SRC_3CHI_SPARSE_OPEN))
+    rows.append(RegimeRow(boundary("LogOverN"), None, exact(0), SRC_TRIVIAL_SPARSE))
+    return RegimeTable(tuple(rows))
+
+
+def oracle_regime_table_star(h: Graph) -> RegimeTable:
+    star, _ = chromatic_threshold_star(h)
+    m2 = thresholds.two_density(h) if h.n >= 3 else None
+    if m2 is None or m2 <= 1:
+        return RegimeTable((RegimeRow(boundary("Constant"), None,
+                                      ThresholdValue.unknown(SRC_M2_UNDEFINED),
+                                      SRC_M2_UNDEFINED),))
+    inv_m2 = 1 / m2
+    return RegimeTable((
+        RegimeRow(boundary("Constant"), boundary("PowerOfN", inv_m2, "open-above"),
+                  star, SRC_STAR_DENSE),
+        RegimeRow(boundary("PowerOfN", inv_m2), boundary("LogOverN", side="open-above"),
+                  exact(1), SRC_STAR_SPARSE),
+    ))
+
+
+def test_regime_tables_match_the_oracle_on_the_atlas(atlas_by_n):
+    for g in atlas_by_n.up_to(7):
+        if g.edge_count():
+            assert regime_table(g).to_json() == oracle_regime_table(g).to_json()
+            if g.n <= 6:
+                assert regime_table_star(g).to_json() == oracle_regime_table_star(g).to_json()
+
+
+@pytest.mark.parametrize("m2", [Fraction(9, 5), Fraction(2), Fraction(5, 2)])
+def test_regime_table_matches_the_oracle_at_each_sparse_row(atlas_by_n, monkeypatch, m2):
+    # 9/5 gives the row between n^{-1/2} and n^{-1/m2}, 2 the open sparse
+    # row of a 4-chromatic pattern and 5/2 the sparse row of value 1
+    monkeypatch.setattr(thresholds, "two_density", lambda h, budget=None: m2)
+    patterns = [g for g in atlas_by_n.up_to(6) if pattern_chi(g) >= 4]
+    sparse_sources = set()
+    for g in patterns:
+        table = regime_table(g)
+        assert table.to_json() == oracle_regime_table(g).to_json()
+        assert regime_table_star(g).to_json() == oracle_regime_table_star(g).to_json()
+        sparse_sources.add(table.rows[-2].source)
+    assert len(table.rows) == (6 if m2 < 2 else 5)
+    # 4-chromatic patterns keep the sparse row open up to a 2-density of 2
+    assert sparse_sources == ({SRC_SPARSE_4CHI_OPEN, SRC_SPARSE_ONE} if m2 <= 2
+                              else {SRC_SPARSE_ONE})
+
+
+def test_regime_table_of_a_3_chromatic_pattern_reads_no_2_density(monkeypatch):
+    def unread(h, budget=None):
+        raise AssertionError("two_density called on a 3-chromatic pattern")
+
+    monkeypatch.setattr(thresholds, "two_density", unread)
+    for h in (Graph.complete(3), Graph.cycle(5), Graph.cycle(7), blow_up(Graph.cycle(5), 2)):
+        regime_table(h)
